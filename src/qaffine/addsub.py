@@ -8,8 +8,8 @@ new most significant qubit, so the sum block sits at the low basis indices.
 The in-place variant consumes the current register contents as the kept
 operand and supports two modes:
 
-* "abstract": the simulator writes the pre-Hadamard superposition
-  (|0>|phi> + |1>|b~>)/sqrt(2) directly, then applies the closing Hadamard.
+* "abstract": the two halves (phi + b~)/2 and (phi - b~)/2 are written
+  directly into the new register; no gate kernel runs.
 * "physical": the same state is reached by gates alone.  The caller supplies
   the circuit that prepared |phi> from |0...0>; controlled on the new
   ancilla, that circuit is uncomputed and a preparation of b~ is applied (a
@@ -45,7 +45,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import as_vector, completion_unitary, max_abs
-from .simulator import QuantumState
+from .simulator import QuantumState, _check_normalized
 
 NORM_TOL = 1e-8
 WITNESS_TOL = 1e-9
@@ -126,9 +126,14 @@ def hadamard_addsub_inplace(
     if b.shape[0] != state.dim:
         raise ShapeError(f"b_tilde length {b.shape[0]} != register dimension {state.dim}")
     if mode == "abstract":
-        amps = np.concatenate([state.amplitudes, b]) / np.sqrt(2.0)
-        st = QuantumState(state.num_qubits + 1, amps)
-        return simulator.apply_unitary(st, HADAMARD, (state.num_qubits,))
+        phi = state.amplitudes
+        out = np.empty((2, state.dim), dtype=np.complex128)
+        np.add(phi, b, out=out[0])
+        np.subtract(phi, b, out=out[1])
+        out *= 0.5
+        amps = out.reshape(-1)
+        _check_normalized(amps)
+        return QuantumState(state.num_qubits + 1, amps)
     if mode == "physical":
         if circuit_so_far is None:
             raise MissingWitnessError("physical mode requires the preparing circuit")

@@ -7,6 +7,11 @@ A matrix A with spectral norm at most alpha embeds into the unitary
 
 so applying U to a register whose top ancilla is |0> acts as A/alpha on the
 ancilla-0 block.
+
+The full 2N x 2N unitary is built only where a circuit needs it: the
+pipeline's physical mode (its gate witness), the homogeneous-coordinate
+baseline and gate synthesis.  The pipeline's abstract mode never builds it;
+it writes the ancilla-0 columns [A; sqrt(I - A^dag A)] directly.
 """
 
 from __future__ import annotations

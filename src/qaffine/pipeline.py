@@ -8,11 +8,18 @@ Register layout after j steps (base register of n qubits, N = 2^n):
     qubit n + 2j - 2        dilation ancilla of step j
     qubit n + 2j - 1        add/sub ancilla of step j
 
-Each step prepends the dilation ancilla, applies the dilation of A_j to
-{that ancilla} + {base register}, prepends the add/sub ancilla and folds in
+Each step adjoins the dilation ancilla, applies the dilation of A_j to
+{that ancilla} + {base register}, adjoins the add/sub ancilla and folds in
 the rescaled translation.  After k steps the composed affine image sits at
 basis indices 0..N-1 with an exact amplitude ledger of 2^k: the branch with
 all add/sub ancillas 0 carries (result)_i / 2^k.
+
+The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
+2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
+R = sqrt(I - A^dag A), taken from one SVD of A (or elementwise, in O(N),
+when A is diagonal).  Abstract mode never builds the 2N x 2N unitary.
+Physical mode builds it with `block_encode` for its gate witness and
+applies the same two blocks of it.
 """
 
 from __future__ import annotations
@@ -23,18 +30,19 @@ import numpy as np
 
 from . import simulator
 from .addsub import addsub_stage_gates, hadamard_addsub_inplace
-from .blockenc import block_encode
+from .blockenc import UNITARY_TOL, block_encode
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
     ContractionError,
+    EncodingError,
     InvalidInputError,
     MissingWitnessError,
     NormalizationError,
     ShapeError,
 )
-from .linalg import as_matrix, as_vector, completion_unitary, spectral_norm
-from .simulator import MAX_QUBITS, QuantumState
+from .linalg import as_matrix, as_vector, completion_unitary, max_abs
+from .simulator import MAX_QUBITS, QuantumState, _check_normalized
 
 CONTRACTION_TOL = 1e-10
 TRANSLATION_NORM_TOL = 1e-8
@@ -154,9 +162,67 @@ def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0
     scaled = (v / nrm) * (weight / 2 ** (j - 1))
     out[: v.shape[0]] = scaled
     resid_sq = 1.0 - float(np.sum(np.abs(scaled) ** 2))
-    assert resid_sq > -1e-12
+    if resid_sq < -1e-12:
+        raise NormalizationError(f"rescaled translation has norm^2 {1.0 - resid_sq!r} above 1")
     out[garbage] = np.sqrt(max(resid_sq, 0.0))
     return RescaledTranslation(out, j, garbage)
+
+
+def _dilation_half(m: np.ndarray, step_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ancilla-0 columns [A; R] of the dilation of A, R = sqrt(I - A^dag A).
+
+    Diagonal A (every off-diagonal entry zero) gives both blocks as their
+    diagonals, in O(N); dense A gives N x N blocks from one SVD.  A is
+    divided by sigma_max when that lies within CONTRACTION_TOL above 1."""
+    diagonal = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(diagonal):
+        a, s = diagonal, np.abs(diagonal)
+        sigma = float(s.max())
+    else:
+        _, s, vh = np.linalg.svd(m)
+        a, sigma = m, float(s[0])
+    if sigma > 1.0 + CONTRACTION_TOL:
+        raise ContractionError(
+            f"step {step_index}: spectral norm {sigma!r} exceeds 1 "
+            f"(dilation would contract amplitudes by 1/{sigma:.6g})"
+        )
+    if sigma > 1.0:
+        a, s = a / sigma, s / sigma  # numerical overshoot within tolerance
+    r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
+    if a.ndim == 2:
+        r = (vh.conj().T * r) @ vh
+    return a, r
+
+
+def _check_isometry(a: np.ndarray, r: np.ndarray, step_index: int) -> None:
+    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I."""
+    if a.ndim == 1:
+        dev = max_abs(np.abs(a) ** 2 + r**2 - 1.0)
+    else:
+        dev = max_abs(a.conj().T @ a + r.conj().T @ r - np.eye(a.shape[0]))
+    if dev > UNITARY_TOL:
+        raise EncodingError(
+            f"step {step_index}: dilation columns deviate from an isometry by {dev:.3e}"
+        )
+
+
+def _dilate(state: QuantumState, a: np.ndarray, r: np.ndarray) -> QuantumState:
+    """Adjoin the dilation ancilla as new MSB and write [X A^T ; X R^T],
+    where X holds the register as rows over the base index."""
+    q = state.num_qubits + 1
+    if q > MAX_QUBITS:
+        raise CapacityError(f"qubit count {q} exceeds {MAX_QUBITS}")
+    x = state.amplitudes.reshape(-1, a.shape[0])
+    out = np.empty((2,) + x.shape, dtype=np.complex128)
+    if a.ndim == 1:
+        np.multiply(x, a, out=out[0])
+        np.multiply(x, r, out=out[1])
+    else:
+        np.matmul(x, a.T, out=out[0])
+        np.matmul(x, r.T, out=out[1])
+    amps = out.reshape(-1)
+    _check_normalized(amps)
+    return QuantumState(q, amps)
 
 
 def apply_affine_step(
@@ -172,28 +238,23 @@ def apply_affine_step(
     """One pipeline stage on an existing register: dilation ancilla + A_j,
     then add/sub ancilla + rescaled translation."""
     m = as_matrix(a)
-    if m.shape != (1 << base_n, 1 << base_n):
+    dim = 1 << base_n
+    if m.shape != (dim, dim):
         raise ShapeError(f"step matrix shape {m.shape} != base dimension 2^{base_n}")
-    sigma = spectral_norm(m)
-    if sigma > 1.0 + CONTRACTION_TOL:
-        raise ContractionError(
-            f"step {step_index}: spectral norm {sigma!r} exceeds 1 "
-            f"(dilation would contract amplitudes by 1/{sigma:.6g})"
-        )
-    if sigma > 1.0:
-        m = m / sigma  # numerical overshoot within tolerance
-    enc = block_encode(m)
-    assert enc.alpha == 1.0
     if mode == "physical" and witness is None:
         raise MissingWitnessError("physical mode requires a circuit witness")
-
-    st = simulator.prepend_ancilla(state)
-    anc = st.num_qubits - 1
-    targets = (anc,) + tuple(range(base_n - 1, -1, -1))
-    st = simulator.apply_unitary(st, enc.U, targets)
+    a_blk, r_blk = _dilation_half(m, step_index)
     if witness is not None:
+        # the witness carries the whole dilation; its ancilla-0 columns are
+        # what the state gets, so the two agree even where block_encode
+        # guards a norm that reads a few ulp above 1
+        enc = block_encode(a_blk if a_blk.ndim == 2 else np.diag(a_blk))
+        a_blk, r_blk = enc.U[:dim, :dim], enc.U[dim:, :dim]
+        targets = (state.num_qubits,) + tuple(range(base_n - 1, -1, -1))
         witness.qubit_count += 1
         witness.gates.append(block(enc.U, targets))
+    _check_isometry(a_blk, r_blk, step_index)
+    st = _dilate(state, a_blk, r_blk)
 
     rt = rescale_translation(b, step_index, st.dim, weight=translation_weight)
     if mode == "physical":

@@ -55,8 +55,10 @@ class ShotHistogram:
     counts: dict[int, int]
 
 
-def _assert_normalized(amps: np.ndarray) -> None:
-    assert abs(np.linalg.norm(amps) - 1.0) <= NORM_ATOL
+def _check_normalized(amps: np.ndarray) -> None:
+    nrm = np.linalg.norm(amps)
+    if abs(nrm - 1.0) > NORM_ATOL:
+        raise NormalizationError(f"state norm {nrm!r} drifted from 1 by more than {NORM_ATOL:g}")
 
 
 def init_basis(q: int) -> QuantumState:
@@ -133,7 +135,7 @@ def apply_unitary(state: QuantumState, u, targets) -> QuantumState:
     psi = state.amplitudes.reshape([2] * q)
     axes = [q - 1 - t for t in ts]
     out = _apply_on_axes(psi, m, axes).reshape(-1)
-    _assert_normalized(out)
+    _check_normalized(out)
     return QuantumState(q, out)
 
 
@@ -166,7 +168,7 @@ def apply_controlled(state: QuantumState, u, targets, controls, control_values) 
     sub = _apply_on_axes(sub, m, axes)
     psi[tuple(sel)] = sub
     out = psi.reshape(-1)
-    _assert_normalized(out)
+    _check_normalized(out)
     return QuantumState(q, out)
 
 

@@ -8,7 +8,13 @@ arithmetic so simulator bugs cannot cancel out in the checks.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 from scipy.stats import unitary_group
+
+# Property tests draw the same examples on every run and never time out, so
+# a loaded machine cannot make them flaky.
+settings.register_profile("qaffine", derandomize=True, deadline=None, max_examples=60, database=None)
+settings.load_profile("qaffine")
 
 
 def random_state_vector(rng, dim: int) -> np.ndarray:

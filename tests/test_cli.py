@@ -186,6 +186,17 @@ def test_run_engine_error_exit_code(tmp_path, capsys):
     assert "contraction:" in capsys.readouterr().err
 
 
+def test_run_norm_drift_exit_code(tmp_path, monkeypatch, capsys):
+    # an engine norm check that fires is a typed error (exit 3), not a
+    # traceback with exit 1, which means "verify failed"
+    import qaffine.simulator
+
+    monkeypatch.setattr(qaffine.simulator, "NORM_ATOL", -1.0)
+    code = main(["run", simple_problem(tmp_path), "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "normalization:" in capsys.readouterr().err
+
+
 # --- baseline -------------------------------------------------------------------
 
 

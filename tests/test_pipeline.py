@@ -7,6 +7,7 @@ from qaffine import (
     AffineStep,
     CapacityError,
     ContractionError,
+    EncodingError,
     InvalidInputError,
     NormalizationError,
     ShapeError,
@@ -83,6 +84,14 @@ def test_rescale_validation():
         rescale_translation(np.eye(4)[0], 1, 4)  # needs dim > 2 * len
     with pytest.raises(InvalidInputError):
         rescale_translation([1.0, 0.0], 0, 8)
+
+
+def test_rescale_residual_below_zero_raises(monkeypatch):
+    # a norm read 1e-9 low passes the 1e-8 check but makes the rescaled
+    # entries overshoot a unit vector: a typed error, not a bare assert
+    monkeypatch.setattr(np.linalg, "norm", lambda v: 1.0 - 1e-9)
+    with pytest.raises(NormalizationError):
+        rescale_translation([1.0, 0.0], 1, 8)
 
 
 # --- step and sequence validation -------------------------------------------
@@ -253,3 +262,62 @@ def test_apply_affine_step_weight_parameter():
     psi = random_state_vector(rng, 2)
     st = apply_affine_step(init_amplitudes(psi), a, b, 1, 1, translation_weight=0.25)
     assert np.max(np.abs(2 * st.amplitudes[:2] - (a @ psi + 0.25 * b))) <= 1e-12
+
+
+def test_dense_expansive_matrix_rejected():
+    rng = np.random.default_rng(70)
+    a = random_contraction(rng, 4, 1.0, 1.0) * (1 + 1e-6)
+    seq = AffineSequence(2, random_state_vector(rng, 4), (AffineStep(a),))
+    with pytest.raises(ContractionError):
+        run_pipeline(seq)
+
+
+def test_dense_contraction_slack_is_rescaled():
+    rng = np.random.default_rng(71)
+    a = random_contraction(rng, 4, 1.0, 1.0)
+    psi = random_state_vector(rng, 4)
+    seq = AffineSequence(2, psi, (AffineStep(a * (1 + 5e-11)),))
+    assert np.max(np.abs(extract_result(run_pipeline(seq)) - a @ psi)) <= 1e-9
+
+
+# --- structure of the abstract stage ------------------------------------------
+
+
+def test_abstract_mode_never_builds_the_dilation(monkeypatch):
+    import qaffine.pipeline
+
+    def refuse(_):
+        raise AssertionError("abstract mode built a 2N x 2N dilation")
+
+    monkeypatch.setattr(qaffine.pipeline, "block_encode", refuse)
+    rng = np.random.default_rng(72)
+    seq = random_sequence(rng, 2, 3)
+    got = extract_result(run_pipeline(seq))
+    assert np.max(np.abs(got - classical_affine_compose(seq))) <= 1e-10
+
+
+def test_diagonal_step_needs_no_svd(monkeypatch):
+    # a*I and phased diagonals take the elementwise O(N) route
+    rng = np.random.default_rng(73)
+    d = 0.9 * np.exp(2j * np.pi * rng.uniform(size=64))
+    psi = random_state_vector(rng, 64)
+    b = random_state_vector(rng, 64)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("diagonal step ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for a in (np.diag(d), -0.5 * np.eye(64), np.zeros((64, 64))):
+        st = apply_affine_step(init_amplitudes(psi), a, b, 1, 6)
+        assert np.max(np.abs(2 * st.amplitudes[:64] - (a @ psi + b))) <= 1e-12
+
+
+def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
+    import qaffine.pipeline
+
+    monkeypatch.setattr(
+        qaffine.pipeline, "_dilation_half", lambda m, j: (m, np.zeros_like(m))
+    )
+    st = init_amplitudes([1.0, 0.0])
+    with pytest.raises(EncodingError):
+        apply_affine_step(st, 0.5 * X, None, 1, 1)

@@ -21,6 +21,7 @@ from qaffine import (
     prepend_ancilla,
     sample,
 )
+from qaffine.simulator import QuantumState
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -182,3 +183,13 @@ def test_sample_frequencies_track_probabilities():
 def test_sample_basis_state_is_certain():
     h = sample(init_basis(3), 1000, seed=4)
     assert h.counts == {0: 1000}
+
+
+def test_norm_drift_raises_normalization_error():
+    # a register built by hand with norm 2: the output-norm check must raise
+    # a typed error (it was a bare assert, gone under python -O)
+    st = QuantumState(2, np.array([2.0, 0.0, 0.0, 0.0], dtype=complex))
+    with pytest.raises(NormalizationError):
+        apply_unitary(st, H, (0,))
+    with pytest.raises(NormalizationError):
+        apply_controlled(st, X, (0,), (1,), (0,))
