@@ -11,7 +11,6 @@ from .addsub import (
     AddSubResult,
     hadamard_addsub_fresh,
     hadamard_addsub_inplace,
-    project_branch,
 )
 from .apps import (
     PortfolioSpec,
@@ -26,7 +25,7 @@ from .apps import (
     two_tone_samples,
 )
 from .baseline import AugmentedAffine, build_augmented, run_augmented
-from .blockenc import BlockEncoding, block_encode, encoded_apply
+from .blockenc import BlockEncoding, block_encode
 from .circuits import (
     HADAMARD,
     PAULI_X,
@@ -34,12 +33,10 @@ from .circuits import (
     Gate,
     GateList,
     apply_gate,
-    apply_gatelist,
     apply_gates,
     block,
     cnot,
     dagger,
-    gate_matrix,
     gatelist_matrix,
     inverted,
     phase_gate,
@@ -54,7 +51,6 @@ from .errors import (
     InvalidInputError,
     MissingWitnessError,
     NormalizationError,
-    NotPSDError,
     PreconditionError,
     QAffineError,
     QubitIndexError,
@@ -67,7 +63,6 @@ from .linalg import (
     as_vector,
     completion_unitary,
     is_unitary,
-    psd_sqrt,
     spectral_norm,
 )
 from .pipeline import (
@@ -85,9 +80,7 @@ from .simulator import (
     MAX_QUBITS,
     QuantumState,
     ShotHistogram,
-    apply_controlled,
     apply_unitary,
-    get_amplitudes,
     init_amplitudes,
     init_basis,
     prepend_ancilla,

@@ -37,17 +37,10 @@ from .circuits import (
     single,
     with_control,
 )
-from .errors import (
-    InvalidInputError,
-    MissingWitnessError,
-    NormalizationError,
-    PreconditionError,
-    ShapeError,
-)
-from .linalg import as_vector, completion_unitary, max_abs
+from .errors import InvalidInputError, MissingWitnessError, PreconditionError, ShapeError
+from .linalg import as_vector, check_unit_norm, completion_unitary, max_abs
 from .simulator import QuantumState, _check_normalized
 
-NORM_TOL = 1e-8
 WITNESS_TOL = 1e-9
 
 
@@ -63,10 +56,7 @@ def _unit(x, label: str) -> np.ndarray:
     d = v.shape[0]
     if d < 2 or d & (d - 1):
         raise ShapeError(f"{label} length {d} is not a power of two >= 2")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"{label} norm {nrm!r} not within {NORM_TOL:g} of 1")
-    return v / nrm
+    return v / check_unit_norm(v, label)
 
 
 def hadamard_addsub_fresh(psi_a, psi_b) -> AddSubResult:
@@ -84,8 +74,8 @@ def hadamard_addsub_fresh(psi_a, psi_b) -> AddSubResult:
     base = tuple(range(n - 1, -1, -1))
     state = simulator.init_basis(n + 1)
     state = simulator.apply_unitary(state, HADAMARD, (anc,))
-    state = simulator.apply_controlled(state, completion_unitary(a), base, (anc,), (0,))
-    state = simulator.apply_controlled(state, completion_unitary(b), base, (anc,), (1,))
+    state = simulator.apply_unitary(state, completion_unitary(a), base, (anc,), (0,))
+    state = simulator.apply_unitary(state, completion_unitary(b), base, (anc,), (1,))
     state = simulator.apply_unitary(state, HADAMARD, (anc,))
     half = 1 << n
     return AddSubResult(state, np.arange(half), np.arange(half, 2 * half))
@@ -121,7 +111,10 @@ def hadamard_addsub_inplace(
 ) -> QuantumState:
     """Adjoin an ancilla as new MSB and fold b~ into the register:
     (phi_i + b~_i)/2 lands on the ancilla=0 half, (phi_i - b~_i)/2 on the
-    ancilla=1 half."""
+    ancilla=1 half.
+
+    In physical mode the stage's gates are appended to circuit_so_far, which
+    then prepares the returned state (its qubit count grows by one)."""
     b = _unit(b_tilde, "b_tilde")
     if b.shape[0] != state.dim:
         raise ShapeError(f"b_tilde length {b.shape[0]} != register dimension {state.dim}")
@@ -148,18 +141,9 @@ def hadamard_addsub_inplace(
             raise PreconditionError(
                 f"witness does not reconstruct the state (max deviation {dev:.3e})"
             )
-        st = simulator.prepend_ancilla(state)
-        return apply_gates(st, addsub_stage_gates(b, circuit_so_far))
+        gates = addsub_stage_gates(b, circuit_so_far)
+        st = apply_gates(simulator.prepend_ancilla(state), gates)
+        circuit_so_far.qubit_count += 1
+        circuit_so_far.gates.extend(gates)
+        return st
     raise InvalidInputError(f"unknown add/sub mode {mode!r}")
-
-
-def project_branch(state: QuantumState, branch: int) -> np.ndarray:
-    """Renormalized amplitudes of one ancilla branch (0 = sum, 1 = difference)."""
-    if branch not in (0, 1):
-        raise InvalidInputError(f"branch must be 0 or 1, got {branch}")
-    half = state.dim // 2
-    part = state.amplitudes[:half] if branch == 0 else state.amplitudes[half:]
-    nrm = np.linalg.norm(part)
-    if nrm < 1e-15:
-        raise NormalizationError(f"branch {branch} carries no amplitude")
-    return part / nrm

@@ -34,12 +34,11 @@ from .errors import (
     NormalizationError,
     ShapeError,
 )
-from .linalg import as_vector
+from .linalg import as_vector, check_unit_norm
 from .pipeline import apply_affine_step
 from .simulator import QuantumState
 
 MAX_GROUP_LEVELS = 10
-BLOCK_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +59,7 @@ class PortfolioSpec:
             raise ShapeError(f"need 2^m assets for m={self.m}, got {a.shape[0]}")
         object.__setattr__(self, "assets", a)
         for r in range(self.m):
-            g = self.group(r)
-            nrm = np.linalg.norm(g)
-            if abs(nrm - 1.0) > BLOCK_NORM_TOL:
-                raise NormalizationError(
-                    f"group {r} has norm {nrm!r}, expected 1 within {BLOCK_NORM_TOL:g}"
-                )
+            check_unit_norm(self.group(r), f"group {r}")
 
     @classmethod
     def from_raw(cls, values) -> "PortfolioSpec":
@@ -162,7 +156,7 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
             state = simulator.apply_unitary(state, HADAMARD, (ts[i],))
             for j in range(i + 1, t):
                 theta = 2.0 * np.pi / (1 << (j - i + 1))
-                state = simulator.apply_controlled(
+                state = simulator.apply_unitary(
                     state, phase_gate(theta), (ts[i],), (ts[j],), (1,)
                 )
         for i in range(t // 2):
@@ -173,7 +167,7 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
         for i in reversed(range(t)):
             for j in reversed(range(i + 1, t)):
                 theta = -2.0 * np.pi / (1 << (j - i + 1))
-                state = simulator.apply_controlled(
+                state = simulator.apply_unitary(
                     state, phase_gate(theta), (ts[i],), (ts[j],), (1,)
                 )
             state = simulator.apply_unitary(state, HADAMARD, (ts[i],))
@@ -203,10 +197,7 @@ class SignalSpec:
                 raise ShapeError(
                     f"bias vector length {v.shape[0]} != sample count {x.shape[0]}"
                 )
-            nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-8:
-                raise NormalizationError(f"bias vector norm {nrm!r} not within 1e-8 of 1")
-            object.__setattr__(self, "bias_vector", v / nrm)
+            object.__setattr__(self, "bias_vector", v / check_unit_norm(v, "bias vector"))
 
 
 def two_tone_samples(length: int, f1: int, f2: int, a1: float = 1.0, a2: float = 0.5) -> np.ndarray:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import simulator
 from .blockenc import BlockEncoding, block_encode
-from .errors import NormalizationError, ShapeError
-from .linalg import as_matrix, as_vector
+from .errors import ShapeError
+from .linalg import as_matrix, as_vector, check_unit_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +44,7 @@ def build_augmented(a, b, psi) -> AugmentedAffine:
         raise ShapeError(
             f"translation/state lengths {bv.shape[0]}/{p.shape[0]} != matrix dimension {n}"
         )
-    nrm = np.linalg.norm(p)
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormalizationError(f"psi norm {nrm!r} not within 1e-8 of 1")
+    nrm = check_unit_norm(p, "psi")
     at = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     at[:n, :n] = m
     at[:n, 2 * n - 1] = bv

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simulator
-from .errors import EncodingError, PreconditionError, ShapeError
+from .errors import EncodingError, ShapeError
 from .linalg import EIGENVALUE_TOL, as_matrix, is_unitary, spectral_norm
-from .simulator import QuantumState
 
 ALPHA_GUARD = 1e-12
 UNITARY_TOL = 1e-10
-LEAKAGE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,25 +67,3 @@ def block_encode(a) -> BlockEncoding:
     if not is_unitary(u, UNITARY_TOL):
         raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
     return BlockEncoding(u, alpha, n)
-
-
-def encoded_apply(state: QuantumState, enc: BlockEncoding, targets) -> QuantumState:
-    """Apply the dilation unitary; targets[0] is the dilation ancilla.
-
-    The ancilla must be |0> on the support of the state, so the ancilla-0
-    half of the targets transforms by A/alpha.
-    """
-    ts = tuple(int(t) for t in targets)
-    if enc.block_dim != 1 << (len(ts) - 1):
-        raise ShapeError(
-            f"encoding of block dimension {enc.block_dim} needs "
-            f"{enc.block_dim.bit_length()} target qubits, got {len(ts)}"
-        )
-    anc = ts[0]
-    psi = state.amplitudes.reshape([2] * state.num_qubits)
-    leak = np.linalg.norm(np.moveaxis(psi, state.num_qubits - 1 - anc, 0)[1])
-    if leak > LEAKAGE_TOL:
-        raise PreconditionError(
-            f"dilation ancilla (qubit {anc}) carries weight {leak:.3e} on |1>"
-        )
-    return simulator.apply_unitary(state, enc.U, ts)

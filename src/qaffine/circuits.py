@@ -5,6 +5,11 @@ A GateList is both an executable program for the simulator and a dense
 matrix product (later gates multiply on the left).  Blocks are place-holders
 for structured unitaries; `qaffine.synthesis.lower` expands them into
 single-qubit gates and CNOTs.
+
+Gate matrices are checked once, when `single` or `block` builds the gate
+(shape, and unitarity within 1e-9).  Gates derived from built gates
+(`dagger`, `with_control`, lowering) are unitary by construction, so running
+a program checks qubit indices and the output norm but not unitarity again.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ import numpy as np
 
 from . import simulator
 from .errors import InvalidInputError, ShapeError
-from .linalg import as_matrix
-from .simulator import QuantumState, _apply_on_axes
+from .simulator import QuantumState, _apply, _apply_gate, _validated_gate
 
 SQRT2 = np.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQRT2
@@ -40,28 +44,22 @@ class Gate:
 
 
 def single(matrix, target: int) -> Gate:
-    m = as_matrix(matrix)
-    if m.shape != (2, 2):
-        raise ShapeError(f"single-qubit gate must be 2x2, got {m.shape}")
-    return Gate("single", (int(target),), matrix=m)
+    return Gate("single", (int(target),), matrix=_validated_gate(matrix, 1))
 
 
 def cnot(control: int, target: int) -> Gate:
     if control == target:
         raise InvalidInputError("cnot control and target must differ")
-    return Gate("cnot", (int(target),), controls=(int(control),), control_values=(1,))
+    return Gate("cnot", (int(target),), (int(control),), (1,), PAULI_X)
 
 
 def block(matrix, targets, controls=(), control_values=()) -> Gate:
-    m = as_matrix(matrix)
     ts = tuple(int(t) for t in targets)
     cs = tuple(int(c) for c in controls)
     vs = tuple(int(v) for v in control_values)
-    if m.shape != (1 << len(ts), 1 << len(ts)):
-        raise ShapeError(f"block matrix shape {m.shape} does not act on {len(ts)} qubit(s)")
     if len(cs) != len(vs):
         raise ShapeError(f"{len(cs)} controls but {len(vs)} control values")
-    return Gate("block", ts, cs, vs, m)
+    return Gate("block", ts, cs, vs, _validated_gate(matrix, len(ts)))
 
 
 @dataclass(eq=False)
@@ -74,8 +72,6 @@ class GateList:
 
 
 def dagger(g: Gate) -> Gate:
-    if g.kind == "cnot":
-        return g
     return Gate(g.kind, g.targets, g.controls, g.control_values, g.matrix.conj().T)
 
 
@@ -88,26 +84,17 @@ def with_control(g: Gate, control: int, value: int = 1) -> Gate:
     control = int(control)
     if control in g.targets or control in g.controls:
         raise InvalidInputError(f"control {control} already used by the gate")
-    matrix = PAULI_X if g.kind == "cnot" else g.matrix
     return Gate(
         "block",
         g.targets,
         g.controls + (control,),
         g.control_values + (int(value),),
-        matrix,
+        g.matrix,
     )
 
 
 def apply_gate(state: QuantumState, g: Gate) -> QuantumState:
-    if g.kind == "single":
-        return simulator.apply_unitary(state, g.matrix, g.targets)
-    if g.kind == "cnot":
-        return simulator.apply_controlled(state, PAULI_X, g.targets, g.controls, (1,))
-    if g.kind == "block":
-        if not g.controls:
-            return simulator.apply_unitary(state, g.matrix, g.targets)
-        return simulator.apply_controlled(state, g.matrix, g.targets, g.controls, g.control_values)
-    raise InvalidInputError(f"unknown gate kind {g.kind!r}")
+    return _apply_gate(state, g.matrix, g.targets, g.controls, g.control_values)
 
 
 def apply_gates(state: QuantumState, gates) -> QuantumState:
@@ -116,45 +103,17 @@ def apply_gates(state: QuantumState, gates) -> QuantumState:
     return state
 
 
-def apply_gatelist(state: QuantumState, gl: GateList) -> QuantumState:
-    if gl.qubit_count != state.num_qubits:
-        raise ShapeError(
-            f"gate list is on {gl.qubit_count} qubits, state has {state.num_qubits}"
-        )
-    return apply_gates(state, gl.gates)
-
-
 def run_gatelist(gl: GateList) -> QuantumState:
     """Execute the program from |0...0>."""
-    return apply_gatelist(simulator.init_basis(gl.qubit_count), gl)
-
-
-def _evolve_columns(mat: np.ndarray, g: Gate, q: int) -> np.ndarray:
-    """Apply a gate to every column of a 2^q x 2^q matrix at once."""
-    arr = mat.reshape([2] * q + [mat.shape[1]])
-    u = PAULI_X if g.kind == "cnot" else g.matrix
-    axes = [q - 1 - t for t in g.targets]
-    if not g.controls:
-        arr = _apply_on_axes(arr, u, axes)
-    else:
-        arr = arr.copy()
-        sel: list[object] = [slice(None)] * q + [slice(None)]
-        for c, v in zip(g.controls, g.control_values):
-            sel[q - 1 - c] = int(v)
-        c_axes = sorted(q - 1 - c for c in g.controls)
-        local = [a - sum(1 for ca in c_axes if ca < a) for a in axes]
-        arr[tuple(sel)] = _apply_on_axes(arr[tuple(sel)].copy(), u, local)
-    return arr.reshape(mat.shape)
-
-
-def gate_matrix(g: Gate, qubit_count: int) -> np.ndarray:
-    """Dense 2^q expansion of one gate."""
-    return _evolve_columns(np.eye(1 << qubit_count, dtype=np.complex128), g, qubit_count)
+    return apply_gates(simulator.init_basis(gl.qubit_count), gl.gates)
 
 
 def gatelist_matrix(gl: GateList) -> np.ndarray:
-    """Dense product of the whole program (application order)."""
-    mat = np.eye(1 << gl.qubit_count, dtype=np.complex128)
+    """Dense product of the whole program (application order): every gate
+    evolves all columns of the identity at once."""
+    q = gl.qubit_count
+    mat = np.eye(1 << q, dtype=np.complex128)
     for g in gl.gates:
-        mat = _evolve_columns(mat, g, gl.qubit_count)
+        cols = mat.reshape([2] * q + [1 << q])
+        mat = _apply(cols, q, g.matrix, g.targets, g.controls, g.control_values).reshape(mat.shape)
     return mat

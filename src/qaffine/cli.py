@@ -181,6 +181,22 @@ def _write_result_json(path: Path, extracted: np.ndarray, scale, meta: dict,
         fh.write("\n")
 
 
+def _verify(args, seq: AffineSequence, values: np.ndarray) -> int:
+    """--verify: compare against the classical reference; exit code 1 when
+    the deviation exceeds --tolerance."""
+    if not args.verify:
+        return 0
+    dev = max_abs(values - classical_affine_compose(seq))
+    print(f"max deviation vs classical reference: {dev:.3e}")
+    if dev > args.tolerance:
+        print(
+            f"verification failed: {dev:.3e} exceeds tolerance {args.tolerance:g}",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def cmd_affine_run(args) -> int:
     seq, file_mode = parse_problem(args.problem)
     mode = args.mode or file_mode
@@ -199,17 +215,7 @@ def cmd_affine_run(args) -> int:
     _write_result_json(out / "result.json", extracted, res.scale, meta, raw)
     print(f"ran {res.k} step(s) on {seq.n} base qubit(s); scale ledger {res.scale}")
     print(f"wrote {out / 'extracted.csv'} and {out / 'result.json'}")
-    if args.verify:
-        reference = classical_affine_compose(seq)
-        dev = max_abs(extracted - reference)
-        print(f"max deviation vs classical reference: {dev:.3e}")
-        if dev > args.tolerance:
-            print(
-                f"verification failed: {dev:.3e} exceeds tolerance {args.tolerance:g}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _verify(args, seq, extracted)
 
 
 def cmd_baseline(args) -> int:
@@ -233,17 +239,7 @@ def cmd_baseline(args) -> int:
     _write_result_json(out / "result.json", result, aug.enc.alpha, meta)
     print(f"augmented dilation dimension: {aug.enc.U.shape[0]}")
     print(f"wrote {out / 'extracted.csv'} and {out / 'result.json'}")
-    if args.verify:
-        reference = classical_affine_compose(seq)
-        dev = max_abs(result - reference)
-        print(f"max deviation vs classical reference: {dev:.3e}")
-        if dev > args.tolerance:
-            print(
-                f"verification failed: {dev:.3e} exceeds tolerance {args.tolerance:g}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _verify(args, seq, result)
 
 
 def cmd_gates_compare(args) -> int:

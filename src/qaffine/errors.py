@@ -35,10 +35,6 @@ class QubitIndexError(QAffineError):
     name = "index"
 
 
-class NotPSDError(QAffineError):
-    name = "not-psd"
-
-
 class EncodingError(QAffineError):
     name = "encoding"
 

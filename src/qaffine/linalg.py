@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, NormalizationError, NotPSDError, ShapeError
+from .errors import InvalidInputError, NormalizationError, ShapeError
 
-HERMITIAN_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
+UNIT_NORM_TOL = 1e-8
 
 
 def as_vector(x) -> np.ndarray:
@@ -30,6 +30,15 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def check_unit_norm(v, label: str) -> float:
+    """Norm of an input vector that must be a unit vector; raises unless it
+    lies within UNIT_NORM_TOL of 1."""
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        raise NormalizationError(f"{label} norm {nrm!r} not within {UNIT_NORM_TOL:g} of 1")
+    return nrm
+
+
 def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
@@ -44,29 +53,6 @@ def is_unitary(m, tol: float) -> bool:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitarity is only defined for square matrices, got {a.shape}")
     return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything more negative
-    means the input is not numerically PSD and raises.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {a.shape}")
-    if max_abs(a - a.conj().T) > HERMITIAN_TOL:
-        raise InvalidInputError(
-            f"matrix is not Hermitian within {HERMITIAN_TOL:g} (max asymmetry "
-            f"{max_abs(a - a.conj().T):.3e})"
-        )
-    h = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    if w.min() < -EIGENVALUE_TOL:
-        raise NotPSDError(f"eigenvalue {w.min():.3e} below -{EIGENVALUE_TOL:g}")
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return (s + s.conj().T) / 2
 
 
 def completion_unitary(v) -> np.ndarray:

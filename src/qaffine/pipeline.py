@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulator
-from .addsub import addsub_stage_gates, hadamard_addsub_inplace
+from .addsub import hadamard_addsub_inplace
 from .blockenc import UNITARY_TOL, block_encode
 from .circuits import GateList, block
 from .errors import (
@@ -41,11 +41,10 @@ from .errors import (
     NormalizationError,
     ShapeError,
 )
-from .linalg import as_matrix, as_vector, completion_unitary, max_abs
+from .linalg import as_matrix, as_vector, check_unit_norm, completion_unitary, max_abs
 from .simulator import MAX_QUBITS, QuantumState, _check_normalized
 
 CONTRACTION_TOL = 1e-10
-TRANSLATION_NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +155,7 @@ def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0
         raise ShapeError(
             f"translation length {v.shape[0]} does not fit dimension {target_dim}"
         )
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > TRANSLATION_NORM_TOL:
-        raise NormalizationError(f"translation norm {nrm!r} not within 1e-8 of 1")
-    scaled = (v / nrm) * (weight / 2 ** (j - 1))
+    scaled = v / check_unit_norm(v, "translation") * (weight / 2 ** (j - 1))
     out[: v.shape[0]] = scaled
     resid_sq = 1.0 - float(np.sum(np.abs(scaled) ** 2))
     if resid_sq < -1e-12:
@@ -257,14 +253,7 @@ def apply_affine_step(
     st = _dilate(state, a_blk, r_blk)
 
     rt = rescale_translation(b, step_index, st.dim, weight=translation_weight)
-    if mode == "physical":
-        stage = addsub_stage_gates(rt.b_tilde, witness)
-        st = hadamard_addsub_inplace(st, rt.b_tilde, "physical", witness)
-        witness.qubit_count += 1
-        witness.gates.extend(stage)
-    else:
-        st = hadamard_addsub_inplace(st, rt.b_tilde, mode)
-    return st
+    return hadamard_addsub_inplace(st, rt.b_tilde, mode, witness)
 
 
 def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:

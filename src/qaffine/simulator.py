@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     UnitarityError,
 )
-from .linalg import as_matrix, as_vector, is_unitary
+from .linalg import as_matrix, as_vector, check_unit_norm, is_unitary
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
@@ -79,10 +79,7 @@ def init_amplitudes(x) -> QuantumState:
         raise ShapeError(f"amplitude vector length {d} is not a power of two >= 2")
     if q > MAX_QUBITS:
         raise CapacityError(f"qubit count {q} exceeds {MAX_QUBITS}")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormalizationError(f"amplitude vector norm {nrm!r} not within 1e-8 of 1")
-    return QuantumState(q, v / nrm)
+    return QuantumState(q, v / check_unit_norm(v, "amplitude vector"))
 
 
 def prepend_ancilla(state: QuantumState) -> QuantumState:
@@ -115,6 +112,25 @@ def _apply_on_axes(arr: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarra
     return np.moveaxis(flat.reshape(shape), range(t), axes)
 
 
+def _apply(arr: np.ndarray, q: int, u: np.ndarray, targets, controls, control_values) -> np.ndarray:
+    """The gate kernel: apply u to the target qubits of an array of shape
+    [2]*q + batch, only where the control qubits carry control_values.
+
+    Indices and u are taken as already checked."""
+    axes = [q - 1 - t for t in targets]
+    if not controls:
+        return _apply_on_axes(arr, u, axes)
+    arr = arr.copy()
+    sel: list[object] = [slice(None)] * q
+    for c, v in zip(controls, control_values):
+        sel[q - 1 - c] = v
+    # axis positions shift once the control axes are indexed away
+    c_axes = sorted(q - 1 - c for c in controls)
+    local = [a - sum(1 for ca in c_axes if ca < a) for a in axes]
+    arr[tuple(sel)] = _apply_on_axes(arr[tuple(sel)], u, local)
+    return arr
+
+
 def _validated_gate(u, t: int) -> np.ndarray:
     m = as_matrix(u)
     if m.shape != (1 << t, 1 << t):
@@ -124,24 +140,9 @@ def _validated_gate(u, t: int) -> np.ndarray:
     return m
 
 
-def apply_unitary(state: QuantumState, u, targets) -> QuantumState:
-    """Apply a 2^t x 2^t unitary to the listed target qubits.
-
-    targets[0] is the most significant qubit of the matrix's local index.
-    """
-    q = state.num_qubits
-    ts = _check_qubits(q, targets, "targets")
-    m = _validated_gate(u, len(ts))
-    psi = state.amplitudes.reshape([2] * q)
-    axes = [q - 1 - t for t in ts]
-    out = _apply_on_axes(psi, m, axes).reshape(-1)
-    _check_normalized(out)
-    return QuantumState(q, out)
-
-
-def apply_controlled(state: QuantumState, u, targets, controls, control_values) -> QuantumState:
-    """Apply a unitary to the targets only where the control qubits carry the
-    given classical values (0 entries make anti-controls)."""
+def _apply_gate(state: QuantumState, m: np.ndarray, targets, controls, control_values) -> QuantumState:
+    """apply_unitary for a matrix checked when its gate was built: qubit
+    indices and the output norm are checked, unitarity is not."""
     q = state.num_qubits
     ts = _check_qubits(q, targets, "targets")
     cs = _check_qubits(q, controls, "controls")
@@ -152,33 +153,20 @@ def apply_controlled(state: QuantumState, u, targets, controls, control_values) 
         raise ShapeError(f"{len(cs)} controls but {len(vals)} control values")
     if any(v not in (0, 1) for v in vals):
         raise InvalidInputError(f"control values must be bits, got {vals}")
-    m = _validated_gate(u, len(ts))
-
-    psi = state.amplitudes.reshape([2] * q).copy()
-    sel: list[object] = [slice(None)] * q
-    for c, v in zip(cs, vals):
-        sel[q - 1 - c] = v
-    c_axes = sorted(q - 1 - c for c in cs)
-    sub = psi[tuple(sel)].copy()
-    # axis positions shift once the control axes are indexed away
-    axes = []
-    for t in ts:
-        a = q - 1 - t
-        axes.append(a - sum(1 for ca in c_axes if ca < a))
-    sub = _apply_on_axes(sub, m, axes)
-    psi[tuple(sel)] = sub
-    out = psi.reshape(-1)
+    out = _apply(state.amplitudes.reshape([2] * q), q, m, ts, cs, vals).reshape(-1)
     _check_normalized(out)
     return QuantumState(q, out)
 
 
-def get_amplitudes(state: QuantumState, indices) -> np.ndarray:
-    idxs = np.asarray(indices, dtype=np.int64)
-    if idxs.ndim != 1:
-        raise ShapeError(f"expected a 1-d index list, got shape {idxs.shape}")
-    if idxs.size and (idxs.min() < 0 or idxs.max() >= state.dim):
-        raise QubitIndexError(f"basis index outside [0, {state.dim})")
-    return state.amplitudes[idxs].copy()
+def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=()) -> QuantumState:
+    """Apply a 2^t x 2^t unitary to the listed target qubits, only where the
+    control qubits carry the given classical values (0 entries make
+    anti-controls).
+
+    targets[0] is the most significant qubit of the matrix's local index.
+    """
+    ts = tuple(targets)
+    return _apply_gate(state, _validated_gate(u, len(ts)), ts, controls, control_values)
 
 
 def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:

@@ -7,6 +7,8 @@ arithmetic so simulator bugs cannot cancel out in the checks.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from hypothesis import settings
 from scipy.stats import unitary_group
@@ -81,6 +83,21 @@ def embed_controlled_oracle(u: np.ndarray, targets, controls, values, q: int) ->
         else:
             full[i, i] = 1.0
     return full
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls of the package function `name`, wrapped under every
+    qaffine module that holds it; the returned list grows by one per call."""
+    calls: list = []
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "qaffine" and callable(getattr(mod, name, None)):
+
+            def wrapper(*args, _fn=getattr(mod, name), **kwargs):
+                calls.append(None)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
 
 
 def dft_matrix(dim: int, sign: int = +1) -> np.ndarray:

@@ -14,7 +14,6 @@ from qaffine import (
     hadamard_addsub_inplace,
     init_amplitudes,
     init_basis,
-    project_branch,
     single,
 )
 
@@ -110,20 +109,6 @@ def test_operand_validation():
         hadamard_addsub_inplace(init_basis(1), [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
         hadamard_addsub_inplace(init_basis(1), [1.0, 0.0], mode="magic")
-
-
-def test_project_branch_renormalizes():
-    res = hadamard_addsub_fresh([0.8, 0.6], [0.6, 0.8])
-    s = project_branch(res.state, 0)
-    d = project_branch(res.state, 1)
-    assert np.allclose(s, np.array([0.7, 0.7]) / np.linalg.norm([0.7, 0.7]), atol=1e-12)
-    assert np.allclose(d, np.array([0.1, -0.1]) / np.linalg.norm([0.1, 0.1]), atol=1e-12)
-    with pytest.raises(NormalizationError):
-        # a == b leaves the difference branch empty
-        same = hadamard_addsub_fresh([1.0, 0.0], [1.0, 0.0])
-        project_branch(same.state, 1)
-    with pytest.raises(InvalidInputError):
-        project_branch(res.state, 2)
 
 
 def test_orthogonal_inputs_split_evenly():

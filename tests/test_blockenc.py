@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
-from conftest import random_contraction, random_state_vector, random_unitary
+from conftest import random_contraction, random_unitary
 
 from qaffine import (
     EncodingError,
-    PreconditionError,
     ShapeError,
     apply_unitary,
     block_encode,
-    encoded_apply,
-    init_amplitudes,
     is_unitary,
-    prepend_ancilla,
     spectral_norm,
 )
 
@@ -83,45 +79,6 @@ def test_block_encode_rejects_bad_shapes():
         block_encode(np.ones((2, 3)))
     with pytest.raises(ShapeError):
         block_encode(np.eye(3))
-
-
-def test_encoded_apply_realizes_scaled_action():
-    rng = np.random.default_rng(44)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        dim = 1 << n
-        a = random_contraction(rng, dim)
-        psi = random_state_vector(rng, dim)
-        enc = block_encode(a)
-        st = prepend_ancilla(init_amplitudes(psi))
-        st = encoded_apply(st, enc, (n,) + tuple(range(n - 1, -1, -1)))
-        assert np.max(np.abs(st.amplitudes[:dim] - (a / enc.alpha) @ psi)) <= 1e-12
-
-
-def test_encoded_apply_rejects_dirty_ancilla():
-    enc = block_encode(0.5 * np.eye(2))
-    st = init_amplitudes([0.0, 0.0, 1.0, 0.0])  # qubit 1 already |1>
-    with pytest.raises(PreconditionError):
-        encoded_apply(st, enc, (1, 0))
-
-
-def test_encoded_apply_checks_target_count():
-    enc = block_encode(0.5 * np.eye(4))
-    st = init_amplitudes([1.0] + [0.0] * 7)
-    with pytest.raises(ShapeError):
-        encoded_apply(st, enc, (2, 0))
-
-
-def test_encoded_apply_on_embedded_register():
-    # dilation targeting a sub-register of a wider state, ancilla in the middle
-    rng = np.random.default_rng(45)
-    a = random_contraction(rng, 2)
-    enc = block_encode(a)
-    psi = random_state_vector(rng, 2)
-    st = init_amplitudes(np.kron(psi, [1.0, 0.0]))  # qubit 0 = |0> ancilla
-    out = encoded_apply(st, enc, (0, 1))
-    got = np.array([out.amplitudes[0], out.amplitudes[2]])  # ancilla-0 slice
-    assert np.max(np.abs(got - a @ psi)) <= 1e-12
 
 
 def test_alpha_guard_handles_norm_boundary():

@@ -4,11 +4,9 @@ from conftest import random_contraction, random_unitary
 
 from qaffine import (
     InvalidInputError,
-    NotPSDError,
     ShapeError,
     completion_unitary,
     is_unitary,
-    psd_sqrt,
     spectral_norm,
 )
 
@@ -27,37 +25,6 @@ def test_spectral_norm_matches_svd():
 def test_spectral_norm_rejects_nonfinite():
     with pytest.raises(InvalidInputError):
         spectral_norm(np.array([[np.nan, 0], [0, 1]]))
-
-
-def test_psd_sqrt_identity():
-    s = psd_sqrt(np.eye(4))
-    assert np.max(np.abs(s - np.eye(4))) <= 1e-12
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(12)
-    for dim in (2, 3, 8, 64):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        m = g.conj().T @ g
-        s = psd_sqrt(m)
-        assert np.max(np.abs(s - s.conj().T)) <= 1e-12
-        assert np.max(np.abs(s @ s - m)) <= 1e-9 * max(1.0, np.linalg.norm(m, 2))
-
-
-def test_psd_sqrt_clamps_tiny_negative():
-    m = np.diag([1.0, -5e-11])
-    s = psd_sqrt(m)
-    assert s[1, 1] == 0.0
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1e-6]))
-
-
-def test_psd_sqrt_rejects_non_hermitian():
-    with pytest.raises(InvalidInputError):
-        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_is_unitary():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_contraction, random_real_unit, random_state_vector
+from conftest import count_calls, random_contraction, random_real_unit, random_state_vector
 
 from qaffine import (
     AffineSequence,
@@ -216,6 +216,19 @@ def test_physical_circuit_reconstructs_state():
     res = run_pipeline(seq, mode="physical")
     rebuilt = run_gatelist(res.circuit)
     assert np.max(np.abs(rebuilt.amplitudes - res.state.amplitudes)) <= 1e-10
+
+
+def test_physical_stage_gates_are_built_once(monkeypatch):
+    # one state preparation for psi0 and one for each translation stage: the
+    # gates a stage runs are the ones appended to the witness
+    calls = count_calls(monkeypatch, "completion_unitary")
+    rng = np.random.default_rng(69)
+    for k in (1, 2, 3):
+        calls.clear()
+        res = run_pipeline(random_sequence(rng, 2, k), mode="physical")
+        assert len(calls) == k + 1
+        rebuilt = run_gatelist(res.circuit)
+        assert np.max(np.abs(rebuilt.amplitudes - res.state.amplitudes)) <= 1e-9
 
 
 def test_unknown_mode_rejected():

@@ -13,9 +13,7 @@ from qaffine import (
     QubitIndexError,
     ShapeError,
     UnitarityError,
-    apply_controlled,
     apply_unitary,
-    get_amplitudes,
     init_amplitudes,
     init_basis,
     prepend_ancilla,
@@ -100,7 +98,7 @@ def test_apply_controlled_matches_dense_oracle():
         values = tuple(int(v) for v in rng.integers(0, 2, size=c))
         u = random_unitary(rng, 1 << t)
         psi = random_state_vector(rng, 1 << q)
-        st = apply_controlled(init_amplitudes(psi), u, targets, controls, values)
+        st = apply_unitary(init_amplitudes(psi), u, targets, controls, values)
         ref = embed_controlled_oracle(u, targets, controls, values, q) @ psi
         assert np.max(np.abs(st.amplitudes - ref)) <= 1e-12
 
@@ -108,7 +106,7 @@ def test_apply_controlled_matches_dense_oracle():
 def test_apply_controlled_anticontrol():
     # X on qubit 0 only when qubit 1 is |0>
     st = init_basis(2)
-    st = apply_controlled(st, X, (0,), (1,), (0,))
+    st = apply_unitary(st, X, (0,), (1,), (0,))
     assert st.amplitudes[1] == pytest.approx(1.0)
 
 
@@ -121,7 +119,7 @@ def test_apply_unitary_validation():
     with pytest.raises(QubitIndexError):
         apply_unitary(st, X, (2,))
     with pytest.raises(QubitIndexError):
-        apply_controlled(st, X, (0,), (0,), (1,))
+        apply_unitary(st, X, (0,), (0,), (1,))
 
 
 def test_apply_unitary_then_adjoint_restores_state():
@@ -155,14 +153,6 @@ def test_prepend_ancilla():
     assert np.max(np.abs(st.amplitudes[4:])) == 0.0
 
 
-def test_get_amplitudes():
-    st = init_basis(2)
-    amps = get_amplitudes(st, [0, 3])
-    assert amps.tolist() == [1.0, 0.0]
-    with pytest.raises(QubitIndexError):
-        get_amplitudes(st, [4])
-
-
 def test_sample_deterministic_for_seed():
     rng = np.random.default_rng(25)
     st = init_amplitudes(random_state_vector(rng, 8))
@@ -192,4 +182,4 @@ def test_norm_drift_raises_normalization_error():
     with pytest.raises(NormalizationError):
         apply_unitary(st, H, (0,))
     with pytest.raises(NormalizationError):
-        apply_controlled(st, X, (0,), (1,), (0,))
+        apply_unitary(st, X, (0,), (1,), (0,))

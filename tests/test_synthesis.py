@@ -14,7 +14,6 @@ from qaffine import (
     cnot,
     compare_methods,
     count_gates,
-    gate_matrix,
     gatelist_matrix,
     lower,
     reconstruction_error,
@@ -48,7 +47,7 @@ def test_synthesize_random_unitaries():
 
 
 def test_synthesize_cnot_matrix():
-    u = gate_matrix(cnot(1, 0), 2)
+    u = gatelist_matrix(GateList(2, [cnot(1, 0)]))
     gl = synthesize(u, 2)
     assert reconstruction_error(gl, u) <= 1e-10
 
