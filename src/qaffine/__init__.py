@@ -63,7 +63,6 @@ from .linalg import (
     as_vector,
     completion_unitary,
     is_unitary,
-    spectral_norm,
 )
 from .pipeline import (
     AffineSequence,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import simulator
 from .addsub import hadamard_addsub_inplace
-from .circuits import HADAMARD, SWAP, phase_gate
+from .circuits import HADAMARD, SWAP, apply_gates, block, inverted, phase_gate, single
 from .errors import (
     CapacityError,
     ContractionError,
@@ -146,32 +146,20 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
     """Quantum Fourier transform on the target qubits (targets[0] most
     significant): the standard Hadamard + controlled-phase ladder with the
     bit-reversal swaps folded in, so output indices are in natural order.
-    Matrix entries are e^{2 pi i jk / M} / sqrt(M); inverse conjugates."""
+    Matrix entries are e^{2 pi i jk / M} / sqrt(M); inverse runs the
+    inverted gate list, the adjoint."""
     ts = tuple(int(t) for t in targets)
     if not ts:
         raise ShapeError("qft needs at least one target")
     t = len(ts)
-    if not inverse:
-        for i in range(t):
-            state = simulator.apply_unitary(state, HADAMARD, (ts[i],))
-            for j in range(i + 1, t):
-                theta = 2.0 * np.pi / (1 << (j - i + 1))
-                state = simulator.apply_unitary(
-                    state, phase_gate(theta), (ts[i],), (ts[j],), (1,)
-                )
-        for i in range(t // 2):
-            state = simulator.apply_unitary(state, SWAP, (ts[i], ts[t - 1 - i]))
-    else:
-        for i in range(t // 2):
-            state = simulator.apply_unitary(state, SWAP, (ts[i], ts[t - 1 - i]))
-        for i in reversed(range(t)):
-            for j in reversed(range(i + 1, t)):
-                theta = -2.0 * np.pi / (1 << (j - i + 1))
-                state = simulator.apply_unitary(
-                    state, phase_gate(theta), (ts[i],), (ts[j],), (1,)
-                )
-            state = simulator.apply_unitary(state, HADAMARD, (ts[i],))
-    return state
+    gates = []
+    for i in range(t):
+        gates.append(single(HADAMARD, ts[i]))
+        for j in range(i + 1, t):
+            theta = 2.0 * np.pi / (1 << (j - i + 1))
+            gates.append(block(phase_gate(theta), (ts[i],), (ts[j],), (1,)))
+    gates += [block(SWAP, (ts[i], ts[t - 1 - i])) for i in range(t // 2)]
+    return apply_gates(state, inverted(gates) if inverse else gates)
 
 
 @dataclass(frozen=True, eq=False)

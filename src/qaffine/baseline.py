@@ -61,6 +61,6 @@ def run_augmented(aug: AugmentedAffine) -> np.ndarray:
     n1 = aug.psi_tilde.shape[0].bit_length() - 1  # n + 1 qubits
     st = simulator.init_amplitudes(aug.psi_tilde)
     st = simulator.prepend_ancilla(st)
-    st = simulator.apply_unitary(st, aug.enc.U, tuple(range(n1, -1, -1)))
+    st = simulator._apply_gate(st, aug.enc.U, tuple(range(n1, -1, -1)), (), ())
     half = aug.psi_tilde.shape[0] // 2
     return np.sqrt(2.0) * aug.enc.alpha * st.amplitudes[:half]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EncodingError, ShapeError
-from .linalg import EIGENVALUE_TOL, as_matrix, is_unitary, spectral_norm
+from .linalg import as_matrix, is_unitary
 
 ALPHA_GUARD = 1e-12
 UNITARY_TOL = 1e-10
@@ -29,21 +29,28 @@ UNITARY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
+    """A dilation U of A/alpha on a block of dimension block_dim; U is
+    checked for unitarity (within UNITARY_TOL) once, here."""
+
     U: np.ndarray
     alpha: float
     block_dim: int
+
+    def __post_init__(self):
+        if not is_unitary(self.U, UNITARY_TOL):
+            raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
 
 
 def block_encode(a) -> BlockEncoding:
     """Dilate a square matrix to a unitary twice its size.
 
-    alpha is exactly 1 when sigma_max(A) <= 1, otherwise sigma_max inflated
-    by a relative 1e-12 guard so the residual blocks stay numerically PSD.
-    Both residual square roots sqrt(I - (A/a)(A/a)^dag) and
-    sqrt(I - (A/a)^dag (A/a)) are built from a single SVD of A/alpha, which
-    keeps the off-diagonal blocks exactly intertwined; two independent
-    eigendecompositions would lose ~1/sqrt(residual) digits when alpha pins
-    the top singular value at 1 - 1e-12.
+    One SVD A = W diag(s) V^dag gives everything: sigma_max = s[0]; alpha is
+    exactly 1 when sigma_max <= 1, otherwise sigma_max inflated by a relative
+    ALPHA_GUARD; the singular values of A/alpha are s/alpha <= 1, so both
+    residual blocks W sqrt(1 - (s/alpha)^2) W^dag and
+    V sqrt(1 - (s/alpha)^2) V^dag are PSD by construction.  Taking them from
+    the same factorization keeps the off-diagonal blocks exactly intertwined.
+    The guard is kept for the value of alpha, which the baseline reports.
     """
     m = as_matrix(a)
     n, ncols = m.shape
@@ -51,19 +58,11 @@ def block_encode(a) -> BlockEncoding:
         raise ShapeError(f"block encoding needs a square matrix, got {m.shape}")
     if n & (n - 1) or n < 1:
         raise ShapeError(f"matrix dimension {n} is not a power of two")
-    sigma = spectral_norm(m)
-    alpha = 1.0 if sigma <= 1.0 else sigma * (1.0 + ALPHA_GUARD)
+    w, s, vh = np.linalg.svd(m)
+    alpha = 1.0 if s[0] <= 1.0 else float(s[0]) * (1.0 + ALPHA_GUARD)
     at = m / alpha
-    w, s, vh = np.linalg.svd(at)
-    resid = 1.0 - s**2
-    if np.min(resid) < -EIGENVALUE_TOL:
-        raise EncodingError(
-            f"residual block not PSD: singular value {np.max(s)!r} exceeds 1"
-        )
-    r = np.sqrt(np.clip(resid, 0.0, None))
+    r = np.sqrt(1.0 - (s / alpha) ** 2)
     top_right = (w * r) @ w.conj().T
     bottom_left = (vh.conj().T * r) @ vh
     u = np.block([[at, top_right], [bottom_left, -at.conj().T]])
-    if not is_unitary(u, UNITARY_TOL):
-        raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
     return BlockEncoding(u, alpha, n)

@@ -6,7 +6,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NormalizationError, ShapeError
 
-EIGENVALUE_TOL = 1e-10
 UNIT_NORM_TOL = 1e-8
 
 
@@ -43,11 +42,6 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of a (possibly rectangular) matrix."""
-    return float(np.linalg.norm(as_matrix(m), 2))
-
-
 def is_unitary(m, tol: float) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -56,26 +50,23 @@ def is_unitary(m, tol: float) -> bool:
 
 
 def completion_unitary(v) -> np.ndarray:
-    """Unitary whose first column is the given unit vector.
+    """Unitary whose first column is the given vector, renormalized.
 
-    The remaining columns come from orthonormalizing standard basis vectors
-    against v (the basis vector at v's largest component is dropped so the
-    starting set is always independent).
+    A Householder reflector H = I - 2 w w^dag / |w|^2 with
+    w = e_0 + e^{-i phi} x (phi = arg x_0, 0 when x_0 = 0) maps e_0 to
+    -e^{-i phi} x; the plus sign keeps |w|^2 >= 2.  The first column is then
+    set to x itself, a unit-modulus rescaling of that column, so the matrix
+    stays unitary and its first column is x bit for bit.  O(d^2), no
+    factorization.
     """
     x = as_vector(v)
     nrm = np.linalg.norm(x)
     if nrm < 1e-12:
         raise NormalizationError("cannot complete a (near-)zero vector to a unitary")
     x = x / nrm
-    d = x.shape[0]
-    pivot = int(np.argmax(np.abs(x)))
-    cols = np.zeros((d, d), dtype=np.complex128)
-    cols[:, 0] = x
-    rest = [i for i in range(d) if i != pivot]
-    for k, i in enumerate(rest, start=1):
-        cols[i, k] = 1.0
-    q, _ = np.linalg.qr(cols)
-    q = np.ascontiguousarray(q)
-    # qr fixes the first column only up to phase; pin it to x exactly
-    q[:, 0] = x
-    return q
+    w = x * np.exp(-1j * np.angle(x[0]))
+    w[0] += 1.0
+    h = np.outer(w, (-2.0 / np.vdot(w, w).real) * w.conj())
+    h.flat[:: x.shape[0] + 1] += 1.0  # add the identity along the diagonal
+    h[:, 0] = x
+    return h

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_contraction, random_state_vector
+from conftest import count_calls, random_contraction, random_state_vector
+from hypothesis import given
+from hypothesis import strategies as st
+from test_stage_properties import MATRICES, off_by
 
 from qaffine import (
     AffineSequence,
@@ -10,6 +13,7 @@ from qaffine import (
     build_augmented,
     classical_affine_compose,
     extract_result,
+    is_unitary,
     run_augmented,
     run_pipeline,
 )
@@ -98,3 +102,32 @@ def test_build_augmented_validation():
         build_augmented(np.eye(2), [0.0, 0.0, 0.0], [1.0, 0.0])
     with pytest.raises(NormalizationError):
         build_augmented(np.eye(2), [0.0, 0.0], [1.0, 1.0])
+
+
+def test_run_augmented_checks_no_unitarity(monkeypatch):
+    # the dilation was checked when its BlockEncoding was built
+    rng = np.random.default_rng(74)
+    aug = build_augmented(random_contraction(rng, 4), random_state_vector(rng, 4), random_state_vector(rng, 4))
+    calls = count_calls(monkeypatch, "is_unitary")
+    run_augmented(aug)
+    assert calls == []
+
+
+@given(
+    kind=st.sampled_from(sorted(MATRICES)),
+    n=st.integers(1, 3),
+    with_b=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_baseline_matches_classical(kind, n, with_b, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    a = MATRICES[kind](rng, dim)
+    b = random_state_vector(rng, dim) if with_b else np.zeros(dim)
+    psi = off_by(rng, random_state_vector(rng, dim))
+    aug = build_augmented(a, b, psi)
+    enc = aug.enc
+    assert is_unitary(enc.U, 1e-10)
+    assert np.max(np.abs(enc.alpha * enc.U[: 2 * dim, : 2 * dim] - aug.A_tilde)) <= 1e-10
+    want = classical_affine_compose(AffineSequence(n, psi, (AffineStep(a, b if with_b else None),)))
+    assert np.max(np.abs(run_augmented(aug) - want)) <= 1e-9

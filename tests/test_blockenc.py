@@ -3,12 +3,12 @@ import pytest
 from conftest import random_contraction, random_unitary
 
 from qaffine import (
+    BlockEncoding,
     EncodingError,
     ShapeError,
     apply_unitary,
     block_encode,
     is_unitary,
-    spectral_norm,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,7 +29,7 @@ def test_alpha_inflates_for_expansive_matrices():
     enc = block_encode(a)
     assert enc.alpha > 3.0
     assert enc.alpha == pytest.approx(3.0, rel=1e-11)
-    assert spectral_norm(enc.U[:2, :2]) <= 1.0
+    assert np.linalg.norm(enc.U[:2, :2], 2) <= 1.0
     assert np.max(np.abs(enc.U[:2, :2] * enc.alpha - a)) <= 1e-9
 
 
@@ -91,10 +91,29 @@ def test_alpha_guard_handles_norm_boundary():
     assert is_unitary(enc.U, 1e-10)
 
 
-def test_encoding_error_when_residual_not_psd(monkeypatch):
-    # force alpha = 1 on an expansive matrix: the residual goes negative
-    import qaffine.blockenc as be
+def test_block_encode_factors_once(monkeypatch):
+    svd_calls, norm_calls = [], []
+    svd, norm = np.linalg.svd, np.linalg.norm
 
-    monkeypatch.setattr(be, "spectral_norm", lambda _: 0.5)
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    def counted_norm(*args, **kwargs):
+        norm_calls.append(None)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    rng = np.random.default_rng(44)
+    for a in (random_contraction(rng, 4), 3.0 * random_unitary(rng, 4)):
+        svd_calls.clear()
+        norm_calls.clear()
+        block_encode(a)
+        assert len(svd_calls) == 1
+        assert norm_calls == []
+
+
+def test_block_encoding_checks_unitarity_when_built():
     with pytest.raises(EncodingError):
-        be.block_encode(2.0 * np.eye(2))
+        BlockEncoding(np.diag([1.0, 2.0]), 1.0, 1)

@@ -1,30 +1,15 @@
 import numpy as np
 import pytest
 from conftest import random_contraction, random_unitary
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaffine import (
-    InvalidInputError,
+    NormalizationError,
     ShapeError,
     completion_unitary,
     is_unitary,
-    spectral_norm,
 )
-
-
-def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_spectral_norm_matches_svd():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        m = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-        assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
-
-
-def test_spectral_norm_rejects_nonfinite():
-    with pytest.raises(InvalidInputError):
-        spectral_norm(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_is_unitary():
@@ -58,3 +43,57 @@ def test_completion_unitary_basis_vector():
     u = completion_unitary([0, 0, 1, 0])
     assert is_unitary(u, 1e-12)
     assert np.max(np.abs(u[:, 0] - np.array([0, 0, 1, 0]))) == 0.0
+
+
+def test_completion_unitary_rejects_zero_vector():
+    with pytest.raises(NormalizationError):
+        completion_unitary(np.zeros(4))
+
+
+def test_completion_unitary_runs_no_qr(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("completion_unitary called np.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    rng = np.random.default_rng(15)
+    u = completion_unitary(rng.normal(size=8) + 1j * rng.normal(size=8))
+    assert is_unitary(u, 1e-12)
+
+
+def _basis(dim, j):
+    return np.eye(dim)[j]
+
+
+def _zero_first(rng, dim):
+    """Complex vector whose first entry is exactly 0 (for dim > 1)."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if dim > 1:
+        v[0] = 0.0
+    return v
+
+
+COMPLETION_INPUTS = {
+    "complex": lambda rng, d: rng.normal(size=d) + 1j * rng.normal(size=d),
+    "real_negative_first": lambda rng, d: np.concatenate([[-abs(rng.normal()) - 0.1], rng.normal(size=d - 1)]),
+    "zero_first": _zero_first,
+    "e0": lambda rng, d: _basis(d, 0),
+    "e_j": lambda rng, d: _basis(d, int(rng.integers(d))),
+    "e_last": lambda rng, d: _basis(d, d - 1),
+    "near_basis": lambda rng, d: _basis(d, int(rng.integers(d))) + 1e-9 * rng.normal(size=d),
+    "minus_e0": lambda rng, d: -_basis(d, 0),
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(COMPLETION_INPUTS)),
+    dim=st.one_of(st.integers(1, 64), st.sampled_from([100, 255, 256, 1000, 1024, 2047, 2048])),
+    off=st.floats(-1e-8, 1e-8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_completion_unitary_properties(kind, dim, off, seed):
+    rng = np.random.default_rng(seed)
+    x = COMPLETION_INPUTS[kind](rng, dim).astype(complex)
+    x = x / np.linalg.norm(x) * (1.0 + off)
+    u = completion_unitary(x)
+    assert np.array_equal(u[:, 0], x / np.linalg.norm(x))
+    assert is_unitary(u, 1e-12)
