@@ -38,7 +38,7 @@ from .circuits import (
     with_control,
 )
 from .errors import InvalidInputError, MissingWitnessError, PreconditionError, ShapeError
-from .linalg import as_vector, check_unit_norm, completion_unitary, max_abs
+from .linalg import as_vector, check_unit_norm, max_abs, state_preparation
 from .simulator import QuantumState, _check_normalized
 
 WITNESS_TOL = 1e-9
@@ -74,8 +74,8 @@ def hadamard_addsub_fresh(psi_a, psi_b) -> AddSubResult:
     base = tuple(range(n - 1, -1, -1))
     state = simulator.init_basis(n + 1)
     state = simulator.apply_unitary(state, HADAMARD, (anc,))
-    state = simulator.apply_unitary(state, completion_unitary(a), base, (anc,), (0,))
-    state = simulator.apply_unitary(state, completion_unitary(b), base, (anc,), (1,))
+    state = simulator.apply_unitary(state, state_preparation(a), base, (anc,), (0,))
+    state = simulator.apply_unitary(state, state_preparation(b), base, (anc,), (1,))
     state = simulator.apply_unitary(state, HADAMARD, (anc,))
     half = 1 << n
     return AddSubResult(state, np.arange(half), np.arange(half, 2 * half))
@@ -93,7 +93,7 @@ def addsub_stage_gates(b_tilde: np.ndarray, witness: GateList) -> list[Gate]:
     for g in inverted(witness.gates):
         gates.append(with_control(g, anc, 1))
     prep = block(
-        completion_unitary(b_tilde),
+        state_preparation(b_tilde),
         targets=tuple(range(q - 1, -1, -1)),
         controls=(anc,),
         control_values=(1,),

@@ -6,8 +6,14 @@ matrix product (later gates multiply on the left).  Blocks are place-holders
 for structured unitaries; `qaffine.synthesis.lower` expands them into
 single-qubit gates and CNOTs.
 
+A gate carries a dense 2^t x 2^t matrix, or, for a block, a
+`linalg.Reflector`: a state preparation held as O(2^t) data, which the
+simulator applies through `@` in O(2^t) per column and `dagger` inverts by
+its `adjoint`.  Only lowering and `gatelist_matrix` densify it.
+
 Gate matrices are checked once, when `single` or `block` builds the gate
-(shape, and unitarity within 1e-9).  Gates derived from built gates
+(shape, and unitarity within 1e-9: a dense product for a matrix, the O(d)
+check a Reflector ran when it was built).  Gates derived from built gates
 (`dagger`, `with_control`, lowering) are unitary by construction, so running
 a program checks qubit indices and the output norm but not unitarity again.
 """
@@ -20,6 +26,7 @@ import numpy as np
 
 from . import simulator
 from .errors import InvalidInputError, ShapeError
+from .linalg import Reflector
 from .simulator import QuantumState, _apply, _apply_gate, _validated_gate
 
 SQRT2 = np.sqrt(2.0)
@@ -40,7 +47,7 @@ class Gate:
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     control_values: tuple[int, ...] = ()
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | Reflector | None = None
 
 
 def single(matrix, target: int) -> Gate:
@@ -72,7 +79,9 @@ class GateList:
 
 
 def dagger(g: Gate) -> Gate:
-    return Gate(g.kind, g.targets, g.controls, g.control_values, g.matrix.conj().T)
+    m = g.matrix
+    adj = m.adjoint() if isinstance(m, Reflector) else m.conj().T
+    return Gate(g.kind, g.targets, g.controls, g.control_values, adj)
 
 
 def inverted(gates) -> list[Gate]:

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 * Sampling draws one uniform variate per shot from numpy's default_rng (PCG64,
   a seedable 64-bit generator) and inverts the cumulative distribution of
   |amplitude|^2, so histograms are reproducible for a fixed seed.
+* A gate matrix is a dense array or a `linalg.Reflector`; the kernel applies
+  either through `@`, so a reflector costs O(d) per column, not O(d^2).
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from .errors import (
     ShapeError,
     UnitarityError,
 )
-from .linalg import as_matrix, as_vector, check_unit_norm, is_unitary
+from .linalg import UNITARY_ATOL, Reflector, as_matrix, as_vector, check_unit_norm, is_unitary
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
-UNITARY_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +132,14 @@ def _apply(arr: np.ndarray, q: int, u: np.ndarray, targets, controls, control_va
     return arr
 
 
-def _validated_gate(u, t: int) -> np.ndarray:
-    m = as_matrix(u)
+def _validated_gate(u, t: int) -> np.ndarray | Reflector:
+    """A gate matrix checked for shape and unitarity; a Reflector checked
+    its unitarity in O(d) when it was built."""
+    structured = isinstance(u, Reflector)
+    m = u if structured else as_matrix(u)
     if m.shape != (1 << t, 1 << t):
         raise ShapeError(f"matrix shape {m.shape} does not act on {t} qubit(s)")
-    if not is_unitary(m, UNITARY_ATOL):
+    if not structured and not is_unitary(m, UNITARY_ATOL):
         raise UnitarityError(f"matrix is not unitary within {UNITARY_ATOL:g}")
     return m
 
@@ -170,7 +174,12 @@ def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=(
 
 
 def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
-    """Measure all qubits `shots` times; deterministic for a fixed seed."""
+    """Measure all qubits `shots` times; deterministic for a fixed seed.
+
+    One uniform variate per shot, inverse CDF: the draws are sorted in place
+    and the CDF is searched into them, so the work is one sort of the shots
+    plus a search per bin, and the counts are differences of the search
+    results.  The histogram equals a per-shot search of each draw."""
     shots = int(shots)
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots}")
@@ -179,7 +188,9 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     cdf /= cdf[-1]
     rng = np.random.default_rng(int(seed))
     draws = rng.random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    np.minimum(idx, state.dim - 1, out=idx)
-    values, counts = np.unique(idx, return_counts=True)
-    return ShotHistogram(shots, {int(v): int(c) for v, c in zip(values, counts)})
+    draws.sort()
+    # a draw lands in bin i when cdf[i-1] <= draw < cdf[i], and in the last
+    # bin when it is >= cdf[-2]; so #{draws < cdf[i]} counts bins 0..i
+    below = np.searchsorted(draws, cdf[:-1], side="left")
+    counts = np.diff(below, prepend=0, append=shots)
+    return ShotHistogram(shots, {int(i): int(counts[i]) for i in np.flatnonzero(counts)})

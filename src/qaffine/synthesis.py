@@ -139,7 +139,7 @@ def lower(gl: GateList) -> GateList:
         for v in g.control_values:
             offset = (offset << 1) | v
         offset <<= t
-        m[offset : offset + (1 << t), offset : offset + (1 << t)] = g.matrix
+        m[offset : offset + (1 << t), offset : offset + (1 << t)] = np.asarray(g.matrix)
         sub = synthesize(m, len(locals_msb_first))
         # local label q-1 is the local MSB, i.e. the first entry of the list
         to_global = {ql: locals_msb_first[len(locals_msb_first) - 1 - ql]

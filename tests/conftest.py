@@ -87,13 +87,14 @@ def embed_controlled_oracle(u: np.ndarray, targets, controls, values, q: int) ->
 
 def count_calls(monkeypatch, name: str) -> list:
     """Count calls of the package function `name`, wrapped under every
-    qaffine module that holds it; the returned list grows by one per call."""
+    qaffine module that holds it; the returned list grows by one per call,
+    by that call's positional arguments."""
     calls: list = []
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "qaffine" and callable(getattr(mod, name, None)):
 
             def wrapper(*args, _fn=getattr(mod, name), **kwargs):
-                calls.append(None)
+                calls.append(args)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, wrapper)

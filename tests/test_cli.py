@@ -211,6 +211,25 @@ def test_baseline_runs_and_verifies(tmp_path):
     assert bundle["metadata"]["alpha"] >= 1.0
 
 
+def test_translation_off_unit_norm_verifies(tmp_path):
+    # |B| = 1 + 9e-9 passes the 1e-8 unit-norm check; the pipeline folds in
+    # B / |B|, so the reference must read that B too (it read B as given and
+    # deviated by ~6e-9, failing --verify at 1e-9)
+    rng = np.random.default_rng(104)
+    psi = random_state_vector(rng, 4)
+    b = random_state_vector(rng, 4) * (1 + 9e-9)
+    half_identity = [[[0.5 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    payload = {
+        "version": 1,
+        "n": 2,
+        "psi": [[z.real, z.imag] for z in psi],
+        "steps": [{"A": half_identity, "B": [[z.real, z.imag] for z in b]}],
+    }
+    problem = write_problem(tmp_path / "off_unit.json", payload)
+    for command in ("run", "baseline"):
+        assert main([command, problem, "--out-dir", str(tmp_path / command), "--verify"]) == 0
+
+
 def test_baseline_rejects_multistep(tmp_path, capsys):
     problem = simple_problem(tmp_path, k=2)
     code = main(["baseline", problem, "--out-dir", str(tmp_path / "out")])

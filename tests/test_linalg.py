@@ -5,11 +5,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qaffine import (
+    GateList,
+    InvalidInputError,
     NormalizationError,
     ShapeError,
+    UnitarityError,
+    block,
     completion_unitary,
+    dagger,
+    gatelist_matrix,
+    init_amplitudes,
     is_unitary,
 )
+from qaffine.linalg import Reflector, max_abs, state_preparation
+from qaffine.simulator import apply_unitary
 
 
 def test_is_unitary():
@@ -84,16 +93,86 @@ COMPLETION_INPUTS = {
 }
 
 
+COMPLETION_DIMS = st.one_of(st.integers(1, 64), st.sampled_from([100, 255, 256, 1000, 1024, 2047, 2048]))
+
+
+def _completion_input(kind, dim, off, seed):
+    rng = np.random.default_rng(seed)
+    x = COMPLETION_INPUTS[kind](rng, dim).astype(complex)
+    return rng, x / np.linalg.norm(x) * (1.0 + off)
+
+
 @given(
     kind=st.sampled_from(sorted(COMPLETION_INPUTS)),
-    dim=st.one_of(st.integers(1, 64), st.sampled_from([100, 255, 256, 1000, 1024, 2047, 2048])),
+    dim=COMPLETION_DIMS,
     off=st.floats(-1e-8, 1e-8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_completion_unitary_properties(kind, dim, off, seed):
-    rng = np.random.default_rng(seed)
-    x = COMPLETION_INPUTS[kind](rng, dim).astype(complex)
-    x = x / np.linalg.norm(x) * (1.0 + off)
+    _, x = _completion_input(kind, dim, off, seed)
     u = completion_unitary(x)
     assert np.array_equal(u[:, 0], x / np.linalg.norm(x))
     assert is_unitary(u, 1e-12)
+
+
+@given(
+    kind=st.sampled_from(sorted(COMPLETION_INPUTS)),
+    dim=COMPLETION_DIMS,
+    off=st.floats(-1e-8, 1e-8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_preparation_matches_its_dense_form(kind, dim, off, seed):
+    rng, x = _completion_input(kind, dim, off, seed)
+    r = state_preparation(x)
+    u = np.asarray(r)
+    # the dense form is completion_unitary, whose first column is pinned to x
+    assert np.array_equal(u[:, 1:], completion_unitary(x)[:, 1:])
+    assert max_abs(u[:, 0] - x / np.linalg.norm(x)) <= 1e-14
+    # the O(d) check reads what the dense (d^3) product reads
+    assert abs(r.deviation() - max_abs(u.conj().T @ u - np.eye(dim))) <= 1e-14
+
+    cols = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+    assert max_abs(r @ cols - u @ cols) <= 1e-12
+    assert max_abs(r @ cols[:, 0] - u @ cols[:, 0]) <= 1e-12
+    assert max_abs(r.adjoint() @ cols - u.conj().T @ cols) <= 1e-12
+
+    q = dim.bit_length() - 1
+    if dim >= 2 and dim == 1 << q:
+        # controlled on a new top qubit: the dense oracle acts on that half
+        base = tuple(range(q - 1, -1, -1))
+        psi = rng.normal(size=2 * dim) + 1j * rng.normal(size=2 * dim)
+        state = init_amplitudes(psi / np.linalg.norm(psi))
+        for value in (0, 1):
+            want = state.amplitudes.reshape(2, dim).copy()
+            want[value] = u @ want[value]
+            got = apply_unitary(state, r, base, (q,), (value,))
+            assert max_abs(got.amplitudes - want.ravel()) <= 1e-12
+        if dim <= 64:
+            # every basis column at once: the batch axis of the kernel
+            def program(m):
+                return GateList(q + 1, [block(m, base, (q,), (1,)), dagger(block(m, base))])
+
+            assert max_abs(gatelist_matrix(program(r)) - gatelist_matrix(program(u))) <= 1e-12
+
+    # |u|^2 = 2 + 1e-6: a dense check of U would read >= 1e-6 (|u_0|^2 >= 1)
+    with pytest.raises(UnitarityError):
+        Reflector(r.u * np.sqrt(1.0 + 5e-7), r.p)
+
+
+def test_reflector_checks_its_input_and_stays_as_checked():
+    r = state_preparation([0.6, 0.8j])
+    with pytest.raises(UnitarityError):
+        Reflector(r.u, 1.001 * r.p)
+    with pytest.raises(InvalidInputError):
+        Reflector(r.u, complex("nan"))
+    with pytest.raises(InvalidInputError):
+        Reflector([np.inf, 0.0], -1.0)
+    # the checked operator cannot change afterwards, through it or its input
+    u = r.u.copy()
+    s = Reflector(u, r.p)
+    u[0] = 3.0
+    assert s.u[0] == r.u[0]
+    with pytest.raises(ValueError):
+        s.u[0] = 3.0
+    with pytest.raises(AttributeError):
+        s.p = 1.0

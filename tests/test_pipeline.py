@@ -221,7 +221,7 @@ def test_physical_circuit_reconstructs_state():
 def test_physical_stage_gates_are_built_once(monkeypatch):
     # one state preparation for psi0 and one for each translation stage: the
     # gates a stage runs are the ones appended to the witness
-    calls = count_calls(monkeypatch, "completion_unitary")
+    calls = count_calls(monkeypatch, "state_preparation")
     rng = np.random.default_rng(69)
     for k in (1, 2, 3):
         calls.clear()
@@ -229,6 +229,17 @@ def test_physical_stage_gates_are_built_once(monkeypatch):
         assert len(calls) == k + 1
         rebuilt = run_gatelist(res.circuit)
         assert np.max(np.abs(rebuilt.amplitudes - res.state.amplitudes)) <= 1e-9
+
+
+def test_physical_checks_no_matrix_wider_than_the_dilation(monkeypatch):
+    # state preparations are reflectors checked in O(d); the only dense
+    # checks left are of the step dilations and the 2x2 gates
+    calls = count_calls(monkeypatch, "is_unitary")
+    rng = np.random.default_rng(70)
+    for n, k in ((1, 3), (2, 3), (3, 2)):
+        calls.clear()
+        run_pipeline(random_sequence(rng, n, k), mode="physical")
+        assert max(np.shape(args[0])[0] for args in calls) == 1 << (n + 1)
 
 
 def test_unknown_mode_rejected():

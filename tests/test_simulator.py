@@ -175,6 +175,35 @@ def test_sample_basis_state_is_certain():
     assert h.counts == {0: 1000}
 
 
+def _per_shot_histogram(state, shots, seed):
+    """The inverse-CDF draw searched shot by shot: the reference for sample."""
+    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
+    cdf /= cdf[-1]
+    draws = np.random.default_rng(seed).random(shots)
+    idx = np.searchsorted(cdf, draws, side="right")
+    np.minimum(idx, state.dim - 1, out=idx)
+    values, counts = np.unique(idx, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def test_sample_matches_per_shot_search():
+    rng = np.random.default_rng(27)
+    for i in range(320):
+        dim = 1 << int(rng.integers(1, 11))
+        amps = random_state_vector(rng, dim)
+        # zero-probability bins: none, a random subset, or all but one,
+        # at the ends as well as inside
+        zeros = rng.random(dim) < [0.0, 0.5, 1.0][i % 3]
+        zeros[int(rng.integers(dim))] = False
+        amps[zeros] = 0.0
+        state = QuantumState(dim.bit_length() - 1, amps / np.linalg.norm(amps))
+        shots = {0: 1, 1: 10**6}.get(i % 40, int(10 ** rng.uniform(0, 4.5)))
+        seed = int(rng.integers(2**31))
+        h = sample(state, shots, seed)
+        assert h.counts == _per_shot_histogram(state, shots, seed), (i, dim, shots)
+        assert list(h.counts) == sorted(h.counts)
+
+
 def test_norm_drift_raises_normalization_error():
     # a register built by hand with norm 2: the output-norm check must raise
     # a typed error (it was a bare assert, gone under python -O)
