@@ -9,7 +9,9 @@ The in-place variant consumes the current register contents as the kept
 operand and supports two modes:
 
 * "abstract": the two halves (phi + b~)/2 and (phi - b~)/2 are written
-  directly into the new register; no gate kernel runs.
+  directly into the new register; no gate kernel runs.  `_fold` writes
+  them: both halves start as phi/2 and take +-b~/2 on b~'s support only.
+  The abstract pipeline stage runs the same fold on its own buffer.
 * "physical": the same state is reached by gates alone.  The caller supplies
   the circuit that prepared |phi> from |0...0>; controlled on the new
   ancilla, that circuit is uncomputed and a preparation of b~ is applied (a
@@ -57,6 +59,24 @@ def _unit(x, label: str) -> np.ndarray:
     if d < 2 or d & (d - 1):
         raise ShapeError(f"{label} length {d} is not a power of two >= 2")
     return v / check_unit_norm(v, label)
+
+
+def _fold(buf: np.ndarray, half: int, head: np.ndarray, residual=None) -> None:
+    """Finish an abstract add/sub in place, where both halves of
+    buf[:2 * half] hold phi/2: add b~/2 to the low half and subtract it from
+    the high half, then check the norm.  b~ is given on its support: head on
+    its first entries and, if given, residual at its last one (index
+    half - 1); every other entry is an exact zero.  Halving is exact, so the
+    halves equal (phi +- b~) * 0.5 bit for bit."""
+    h = 0.5 * head
+    m = h.shape[0]
+    buf[:m] += h
+    buf[half : half + m] -= h
+    if residual is not None:
+        g = 0.5 * residual
+        buf[half - 1] += g
+        buf[2 * half - 1] -= g
+    _check_normalized(buf[: 2 * half])
 
 
 def hadamard_addsub_fresh(psi_a, psi_b) -> AddSubResult:
@@ -119,14 +139,12 @@ def hadamard_addsub_inplace(
     if b.shape[0] != state.dim:
         raise ShapeError(f"b_tilde length {b.shape[0]} != register dimension {state.dim}")
     if mode == "abstract":
-        phi = state.amplitudes
-        out = np.empty((2, state.dim), dtype=np.complex128)
-        np.add(phi, b, out=out[0])
-        np.subtract(phi, b, out=out[1])
-        out *= 0.5
-        amps = out.reshape(-1)
-        _check_normalized(amps)
-        return QuantumState(state.num_qubits + 1, amps)
+        d = state.dim
+        buf = np.empty(2 * d, dtype=np.complex128)
+        np.multiply(state.amplitudes, 0.5, out=buf[:d])
+        buf[d:] = buf[:d]
+        _fold(buf, d, b)
+        return QuantumState(state.num_qubits + 1, buf)
     if mode == "physical":
         if circuit_so_far is None:
             raise MissingWitnessError("physical mode requires the preparing circuit")

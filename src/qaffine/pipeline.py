@@ -20,6 +20,17 @@ R = sqrt(I - A^dag A), taken from one SVD of A (or elementwise, in O(N),
 when A is diagonal).  Abstract mode never builds the 2N x 2N unitary.
 Physical mode builds it with `block_encode` for its gate witness and
 applies the same two blocks of it.
+
+Both ancillas of a step are new most significant qubits, so the register
+after step j is the prefix of the register after step j + 1: its d
+amplitudes are the first d of the next register's 4d.  Abstract
+`run_pipeline` therefore allocates one buffer of 2^(n + 2k) amplitudes and
+runs each stage in place, rewriting buf[:4d] from buf[:d] in one pass
+(`_stage`): the halved dilation blocks X (A/2)^T and X (R/2)^T go to
+[2d, 3d) and [d, 2d), clear of the input, and are copied to [0, d) and
+[3d, 4d); +-b~/2 is then folded in on b~'s support, its first N entries and
+the garbage index 2d - 1.  No register-size translation vector is built.
+The public `apply_affine_step` runs the same stage on a fresh 4d buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulator
-from .addsub import hadamard_addsub_inplace
+from .addsub import _fold, hadamard_addsub_inplace
 from .blockenc import UNITARY_TOL, block_encode
 from .circuits import GateList, block
 from .errors import (
@@ -138,14 +149,9 @@ class PipelineResult:
         return offset + np.arange(self.result_indices.size)
 
 
-def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0) -> RescaledTranslation:
-    """Embed a translation vector into the register present at step j.
-
-    The first N entries become weight * beta_i / 2^(j-1); a single residual
-    sqrt(1 - weight^2 * sum|beta_i|^2 / 4^(j-1)) at the all-ones index makes
-    the result a unit vector without touching any measured or branch-tracked
-    index.  b = None (zero translation) yields the pure garbage vector.
-    """
+def _translation_support(b, step_index: int, target_dim: int, weight: float = 1.0) -> tuple[np.ndarray, float]:
+    """The nonzero entries of rescale_translation's vector: the scaled head
+    (its first N entries) and the residual at its last index."""
     j = int(step_index)
     if j < 1:
         raise InvalidInputError(f"step index must be >= 1, got {j}")
@@ -155,23 +161,33 @@ def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0
     weight = float(weight)
     if not -1.0 <= weight <= 1.0:
         raise NormalizationError(f"translation weight {weight!r} outside [-1, 1]")
-    out = np.zeros(target_dim, dtype=np.complex128)
-    garbage = target_dim - 1
     if b is None:
-        out[garbage] = 1.0
-        return RescaledTranslation(out, j, garbage)
+        return np.zeros(0, dtype=np.complex128), 1.0
     v = as_vector(b)
     if v.shape[0] * 2 > target_dim:
         raise ShapeError(
             f"translation length {v.shape[0]} does not fit dimension {target_dim}"
         )
     scaled = v / check_unit_norm(v, "translation") * (weight / 2 ** (j - 1))
-    out[: v.shape[0]] = scaled
     resid_sq = 1.0 - float(np.sum(np.abs(scaled) ** 2))
     if resid_sq < -1e-12:
         raise NormalizationError(f"rescaled translation has norm^2 {1.0 - resid_sq!r} above 1")
-    out[garbage] = np.sqrt(max(resid_sq, 0.0))
-    return RescaledTranslation(out, j, garbage)
+    return scaled, float(np.sqrt(max(resid_sq, 0.0)))
+
+
+def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0) -> RescaledTranslation:
+    """Embed a translation vector into the register present at step j.
+
+    The first N entries become weight * beta_i / 2^(j-1); a single residual
+    sqrt(1 - weight^2 * sum|beta_i|^2 / 4^(j-1)) at the all-ones index makes
+    the result a unit vector without touching any measured or branch-tracked
+    index.  b = None (zero translation) yields the pure garbage vector.
+    """
+    head, resid = _translation_support(b, step_index, target_dim, weight)
+    out = np.zeros(int(target_dim), dtype=np.complex128)
+    out[: head.shape[0]] = head
+    out[-1] = resid
+    return RescaledTranslation(out, int(step_index), out.shape[0] - 1)
 
 
 def _dilation_half(m: np.ndarray, step_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,23 +228,32 @@ def _check_isometry(a: np.ndarray, r: np.ndarray, step_index: int) -> None:
         )
 
 
-def _dilate(state: QuantumState, a: np.ndarray, r: np.ndarray) -> QuantumState:
-    """Adjoin the dilation ancilla as new MSB and write [X A^T ; X R^T],
-    where X holds the register as rows over the base index."""
-    q = state.num_qubits + 1
-    if q > MAX_QUBITS:
-        raise CapacityError(f"qubit count {q} exceeds {MAX_QUBITS}")
-    x = state.amplitudes.reshape(-1, a.shape[0])
-    out = np.empty((2,) + x.shape, dtype=np.complex128)
+def _write_dilation(x: np.ndarray, a: np.ndarray, r: np.ndarray, a_out: np.ndarray, r_out: np.ndarray) -> None:
+    """Write X A^T into a_out and X R^T into r_out, where X holds the register
+    as rows over the base index (a diagonal A comes as its diagonal)."""
     if a.ndim == 1:
-        np.multiply(x, a, out=out[0])
-        np.multiply(x, r, out=out[1])
+        np.multiply(x, a, out=a_out)
+        np.multiply(x, r, out=r_out)
     else:
-        np.matmul(x, a.T, out=out[0])
-        np.matmul(x, r.T, out=out[1])
-    amps = out.reshape(-1)
-    _check_normalized(amps)
-    return QuantumState(q, amps)
+        np.matmul(x, a.T, out=a_out)
+        np.matmul(x, r.T, out=r_out)
+
+
+def _stage(buf: np.ndarray, d: int, a: np.ndarray, r: np.ndarray, head: np.ndarray, residual: float) -> None:
+    """One abstract stage in place, laid out as the module docstring says:
+    rewrite buf[:4d] from the register in buf[:d], given the checked
+    dilation blocks and b~ on its support.  Both add/sub halves start as
+    phi/2, for phi = [X A^T ; X R^T]; `_fold` adds +-b~/2."""
+    x = buf[:d].reshape(-1, a.shape[0])
+    a_half, r_half = buf[2 * d : 3 * d], buf[d : 2 * d]
+    _write_dilation(x, 0.5 * a, 0.5 * r, a_half.reshape(x.shape), r_half.reshape(x.shape))
+    _check_normalized(buf[d : 3 * d], scale=2.0)
+    buf[:d] = a_half
+    buf[3 * d : 4 * d] = r_half
+    # b~ is a unit vector on its support; renormalized there as a dense b~ is
+    support = as_vector(np.append(head, residual))
+    support /= check_unit_norm(support, "b_tilde")
+    _fold(buf, 2 * d, support[:-1], support[-1])
 
 
 def apply_affine_step(
@@ -242,13 +267,15 @@ def apply_affine_step(
     translation_weight: float = 1.0,
 ) -> QuantumState:
     """One pipeline stage on an existing register: dilation ancilla + A_j,
-    then add/sub ancilla + rescaled translation."""
+    then add/sub ancilla + rescaled translation.  The input is not changed."""
     m = as_matrix(a)
     dim = 1 << base_n
     if m.shape != (dim, dim):
         raise ShapeError(f"step matrix shape {m.shape} != base dimension 2^{base_n}")
     if mode == "physical" and witness is None:
         raise MissingWitnessError("physical mode requires a circuit witness")
+    if state.num_qubits + 2 > MAX_QUBITS:
+        raise CapacityError(f"qubit count {state.num_qubits + 2} exceeds {MAX_QUBITS}")
     a_blk, r_blk = _dilation_half(m, step_index)
     if witness is not None:
         # the witness carries the whole dilation; its ancilla-0 columns are
@@ -260,15 +287,27 @@ def apply_affine_step(
         witness.qubit_count += 1
         witness.gates.append(block(enc.U, targets))
     _check_isometry(a_blk, r_blk, step_index)
-    st = _dilate(state, a_blk, r_blk)
-
-    rt = rescale_translation(b, step_index, st.dim, weight=translation_weight)
-    return hadamard_addsub_inplace(st, rt.b_tilde, mode, witness)
+    d = state.dim
+    if mode == "abstract":
+        buf = np.empty(4 * d, dtype=np.complex128)
+        buf[:d] = state.amplitudes
+        head, resid = _translation_support(b, step_index, 2 * d, translation_weight)
+        _stage(buf, d, a_blk, r_blk, head, resid)
+        return QuantumState(state.num_qubits + 2, buf)
+    phi = np.empty(2 * d, dtype=np.complex128)
+    x = state.amplitudes.reshape(-1, dim)
+    _write_dilation(x, a_blk, r_blk, phi[:d].reshape(x.shape), phi[d:].reshape(x.shape))
+    _check_normalized(phi)
+    rt = rescale_translation(b, step_index, 2 * d, weight=translation_weight)
+    return hadamard_addsub_inplace(QuantumState(state.num_qubits + 1, phi), rt.b_tilde, mode, witness)
 
 
 def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     """Run every step; the composed affine image is scale * amplitudes at
-    result_indices, with scale exactly 2^k."""
+    result_indices, with scale exactly 2^k.
+
+    Abstract mode runs every stage in place in one buffer of 2^(n + 2k)
+    amplitudes; physical mode runs `apply_affine_step` with its witness."""
     if mode not in ("abstract", "physical"):
         raise InvalidInputError(f"unknown pipeline mode {mode!r}")
     n, k = seq.n, seq.k
@@ -281,8 +320,18 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     if mode == "physical":
         prep = block(state_preparation(state.amplitudes), tuple(range(n - 1, -1, -1)))
         witness = GateList(n, [prep])
-    for j, step in enumerate(seq.steps, start=1):
-        state = apply_affine_step(state, step.A, step.B, j, n, mode, witness)
+        for j, step in enumerate(seq.steps, start=1):
+            state = apply_affine_step(state, step.A, step.B, j, n, mode, witness)
+    else:
+        buf = np.empty(1 << (n + 2 * k), dtype=np.complex128)
+        d = 1 << n
+        buf[:d] = state.amplitudes
+        for j, step in enumerate(seq.steps, start=1):
+            a, r = _dilation_half(step.A, j)
+            _check_isometry(a, r, j)
+            _stage(buf, d, a, r, *_translation_support(step.B, j, 2 * d))
+            d *= 4
+        state = QuantumState(n + 2 * k, buf)
     return PipelineResult(
         state=state,
         k=k,

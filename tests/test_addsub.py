@@ -55,6 +55,33 @@ def test_inplace_matches_elementwise_arithmetic():
         assert np.max(np.abs(out.amplitudes[dim:] - (phi - b) / 2)) <= 1e-12
 
 
+def _two_pass_addsub(phi, b_tilde):
+    """The abstract add/sub as three passes over a fresh register: renormalize
+    b~, write phi + b~ and phi - b~, halve both."""
+    b = np.asarray(b_tilde, dtype=np.complex128)
+    b = b / np.linalg.norm(b)
+    out = np.empty((2, phi.shape[0]), dtype=np.complex128)
+    np.add(phi, b, out=out[0])
+    np.subtract(phi, b, out=out[1])
+    out *= 0.5
+    return out.reshape(-1)
+
+
+def test_inplace_abstract_is_the_halved_sum_bit_for_bit():
+    # the fold writes phi/2 +- b~/2; halving is exact, so this is
+    # (phi +- b~) * 0.5 to the last bit (portfolio amplitudes depend on it)
+    rng = np.random.default_rng(54)
+    for i in range(240):
+        dim = int(2 ** rng.integers(1, 11))
+        phi = random_state_vector(rng, dim)
+        b = random_state_vector(rng, dim) * (1.0 + rng.uniform(-1e-8, 1e-8))
+        if i % 3 == 0:
+            b = b.real / np.linalg.norm(b.real)
+        st = init_amplitudes(phi)
+        out = hadamard_addsub_inplace(st, b)
+        assert np.array_equal(out.amplitudes, _two_pass_addsub(st.amplitudes, b))
+
+
 def test_abstract_and_physical_agree():
     rng = np.random.default_rng(53)
     for _ in range(20):

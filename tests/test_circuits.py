@@ -152,6 +152,21 @@ def test_gate_matrix_is_checked_when_the_gate_is_built():
         block(0.5 * np.eye(4), (1, 0), (2,), (1,))
 
 
+def test_dense_gate_keeps_a_read_only_copy():
+    # the matrix checked when the gate is built is the one it runs
+    m = np.eye(2, dtype=complex)
+    g = single(m, 0)
+    m4 = np.eye(4, dtype=complex)
+    b = block(m4, (1, 0))
+    m[0, 0] = 2.0
+    m4[0, 0] = 2.0
+    for gate in (g, b):
+        assert np.array_equal(gate.matrix, np.eye(gate.matrix.shape[0]))
+        assert not gate.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 2.0
+
+
 def test_running_built_gates_checks_no_unitarity(monkeypatch):
     rng = np.random.default_rng(35)
     gates = [

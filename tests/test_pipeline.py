@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import count_calls, random_contraction, random_real_unit, random_state_vector
@@ -278,6 +280,38 @@ def test_capacity_limit():
         run_pipeline(seq)
 
 
+def test_pipeline_at_the_qubit_cap():
+    # n + 2k = 2 + 22 = 24 qubits: one 256 MiB register buffer
+    rng = np.random.default_rng(76)
+    seq = random_sequence(rng, 2, 11)
+    res = run_pipeline(seq)
+    assert res.state.num_qubits == 24
+    assert np.max(np.abs(extract_result(res) - classical_affine_compose(seq))) <= 1e-9
+
+
+def test_abstract_pipeline_holds_one_register_buffer():
+    rng = np.random.default_rng(77)
+    seq = random_sequence(rng, 4, 7)
+    run_pipeline(seq)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        res = run_pipeline(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * res.state.amplitudes.nbytes
+    assert np.max(np.abs(extract_result(res) - classical_affine_compose(seq))) <= 1e-9
+
+
+def test_apply_affine_step_leaves_its_input():
+    rng = np.random.default_rng(78)
+    st = init_amplitudes(random_state_vector(rng, 8))
+    before = st.amplitudes.copy()
+    out = apply_affine_step(st, random_contraction(rng, 4), random_state_vector(rng, 4), 1, 2)
+    assert np.array_equal(st.amplitudes, before)
+    assert out.num_qubits == 5
+
+
 def test_apply_affine_step_weight_parameter():
     # weight w folds w*B into the sum branch: result = A psi + w B
     rng = np.random.default_rng(69)
@@ -345,3 +379,6 @@ def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
     st = init_amplitudes([1.0, 0.0])
     with pytest.raises(EncodingError):
         apply_affine_step(st, 0.5 * X, None, 1, 1)
+    seq = AffineSequence(1, [1.0, 0.0], (AffineStep(0.5 * X),))
+    with pytest.raises(EncodingError):
+        run_pipeline(seq)

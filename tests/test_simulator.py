@@ -212,3 +212,13 @@ def test_norm_drift_raises_normalization_error():
         apply_unitary(st, H, (0,))
     with pytest.raises(NormalizationError):
         apply_unitary(st, X, (0,), (1,), (0,))
+
+
+def test_state_norm_matches_numpy():
+    # the engine's norm checks take sqrt(v^dag v), not np.linalg.norm
+    rng = np.random.default_rng(29)
+    for q in range(1, 17):
+        for v in (rng.normal(size=1 << q), rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)):
+            v *= rng.uniform(0.1, 10.0)
+            ref = np.linalg.norm(v)
+            assert abs(QuantumState(q, v).norm() - ref) <= 1e-15 * ref
