@@ -12,8 +12,10 @@ simulator applies through `@` in O(2^t) per column and `dagger` inverts by
 its `adjoint`.  Only lowering and `gatelist_matrix` densify it.
 
 Gate matrices are checked once, when `single` or `block` builds the gate
-(shape, and unitarity within 1e-9: a dense product for a matrix, the O(d)
-check a Reflector ran when it was built).  Gates derived from built gates
+(shape, and unitarity within 1e-9 by a dense product for a matrix).  `block`
+also takes a Reflector or a checked `blockenc.BlockEncoding`, whose unitarity
+was checked when it was built (in O(d) for a Reflector, at 1e-10 for a
+dilation), and keeps their read-only data.  Gates derived from built gates
 (`dagger`, `with_control`, lowering) are unitary by construction, so running
 a program checks qubit indices and the output norm but not unitarity again.
 """

@@ -197,25 +197,25 @@ def _verify(args, seq: AffineSequence, values: np.ndarray) -> int:
     return 0
 
 
+def _write_outputs(args, seq: AffineSequence, values, scale, meta: dict, summary: str, raw=None) -> int:
+    """Write extracted.csv and result.json (metadata: k, n, the given
+    entries, seed, tool version), print the summary, then run --verify."""
+    out = _out_dir(args)
+    _write_extracted_csv(out / "extracted.csv", values)
+    meta = {"k": seq.k, "n": seq.n, **meta, "seed": _default_seed(args.seed), "tool_version": __version__}
+    _write_result_json(out / "result.json", values, scale, meta, raw)
+    print(summary)
+    print(f"wrote {out / 'extracted.csv'} and {out / 'result.json'}")
+    return _verify(args, seq, values)
+
+
 def cmd_affine_run(args) -> int:
     seq, file_mode = parse_problem(args.problem)
     mode = args.mode or file_mode
     res = run_pipeline(seq, mode=mode)
-    extracted = extract_result(res)
-    out = _out_dir(args)
-    _write_extracted_csv(out / "extracted.csv", extracted)
-    meta = {
-        "k": res.k,
-        "n": seq.n,
-        "mode": mode,
-        "seed": _default_seed(args.seed),
-        "tool_version": __version__,
-    }
     raw = res.state.amplitudes if args.raw_amplitudes else None
-    _write_result_json(out / "result.json", extracted, res.scale, meta, raw)
-    print(f"ran {res.k} step(s) on {seq.n} base qubit(s); scale ledger {res.scale}")
-    print(f"wrote {out / 'extracted.csv'} and {out / 'result.json'}")
-    return _verify(args, seq, extracted)
+    summary = f"ran {res.k} step(s) on {seq.n} base qubit(s); scale ledger {res.scale}"
+    return _write_outputs(args, seq, extract_result(res), res.scale, {"mode": mode}, summary, raw)
 
 
 def cmd_baseline(args) -> int:
@@ -225,21 +225,9 @@ def cmd_baseline(args) -> int:
     step = seq.steps[0]
     b = step.B if step.B is not None else np.zeros(1 << seq.n)
     aug = build_augmented(step.A, b, seq.psi0)
-    result = run_augmented(aug)
-    out = _out_dir(args)
-    _write_extracted_csv(out / "extracted.csv", result)
-    meta = {
-        "k": 1,
-        "n": seq.n,
-        "mode": "augmented",
-        "alpha": aug.enc.alpha,
-        "seed": _default_seed(args.seed),
-        "tool_version": __version__,
-    }
-    _write_result_json(out / "result.json", result, aug.enc.alpha, meta)
-    print(f"augmented dilation dimension: {aug.enc.U.shape[0]}")
-    print(f"wrote {out / 'extracted.csv'} and {out / 'result.json'}")
-    return _verify(args, seq, result)
+    meta = {"mode": "augmented", "alpha": aug.enc.alpha}
+    summary = f"augmented dilation dimension: {aug.enc.U.shape[0]}"
+    return _write_outputs(args, seq, run_augmented(aug), aug.enc.alpha, meta, summary)
 
 
 def cmd_gates_compare(args) -> int:
@@ -287,26 +275,17 @@ def cmd_demo_portfolio(args) -> int:
     seed = _default_seed(args.seed)
     state = portfolio_circuit(spec)
     freq = portfolio_estimate(spec, args.shots, seed)
+    bits = [tuple((i >> r) & 1 for r in range(spec.m)) for i in range(state.dim)]
+    closed = [portfolio_closed_form(spec, b) for b in bits]
     out = _out_dir(args)
     path = out / "portfolio.csv"
     with open(path, "w", newline="") as fh:
         fh.write("bits,amplitude,probability,empirical_frequency\n")
-        for index in range(state.dim):
-            bits = tuple((index >> r) & 1 for r in range(spec.m))
-            amp = portfolio_closed_form(spec, bits)
+        for index, (b, amp) in enumerate(zip(bits, closed)):
             prob = float(np.abs(state.amplitudes[index]) ** 2)
-            emp = freq.get(bits, 0.0)
-            label = "".join(str(b) for b in bits)
-            fh.write(f"{label},{_fmt(amp)},{_fmt(prob)},{_fmt(emp)}\n")
-    dev = max_abs(
-        state.amplitudes
-        - np.array(
-            [
-                portfolio_closed_form(spec, tuple((i >> r) & 1 for r in range(spec.m)))
-                for i in range(state.dim)
-            ]
-        )
-    )
+            label = "".join(str(x) for x in b)
+            fh.write(f"{label},{_fmt(amp)},{_fmt(prob)},{_fmt(freq.get(b, 0.0))}\n")
+    dev = max_abs(state.amplitudes - np.array(closed))
     print(f"{spec.m}-level portfolio, {args.shots} shots, seed {seed}")
     print(f"circuit vs closed form max deviation: {dev:.3e}")
     print(f"wrote {path}")

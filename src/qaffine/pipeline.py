@@ -16,10 +16,11 @@ all add/sub ancillas 0 carries (result)_i / 2^k.
 
 The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
-R = sqrt(I - A^dag A), taken from one SVD of A (or elementwise, in O(N),
-when A is diagonal).  Abstract mode never builds the 2N x 2N unitary.
-Physical mode builds it with `block_encode` for its gate witness and
-applies the same two blocks of it.
+R = sqrt(I - A^dag A), from the one factorization of A that every route
+shares (`blockenc._factor`: one SVD, or O(N) for a diagonal A).  Abstract
+mode never builds the 2N x 2N unitary; physical mode builds it from the same
+factorization for its gate witness, so witness and state apply one pair of
+blocks.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import simulator
 from .addsub import _fold, hadamard_addsub_inplace
-from .blockenc import UNITARY_TOL, block_encode
+from .blockenc import UNITARY_TOL, _Dilation, _factor
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
@@ -190,30 +191,26 @@ def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0
     return RescaledTranslation(out, int(step_index), out.shape[0] - 1)
 
 
-def _dilation_half(m: np.ndarray, step_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ancilla-0 columns [A; R] of the dilation of A, R = sqrt(I - A^dag A).
-
-    Diagonal A (every off-diagonal entry zero) gives both blocks as their
-    diagonals, in O(N); dense A gives N x N blocks from one SVD.  A is
-    divided by sigma_max when that lies within CONTRACTION_TOL above 1."""
-    diagonal = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diagonal):
-        a, s = diagonal, np.abs(diagonal)
-        sigma = float(s.max())
-    else:
-        _, s, vh = np.linalg.svd(m)
-        a, sigma = m, float(s[0])
-    if sigma > 1.0 + CONTRACTION_TOL:
+def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = None) -> _Dilation:
+    """The factorization of a step's A, checked.  alpha must stay within
+    CONTRACTION_TOL of 1 (A is divided by it there).  Given a witness, the
+    dilation U is built from the factorization, checked once in its
+    BlockEncoding and appended on a new ancilla; its ancilla-0 columns are
+    the blocks the state gets.  Otherwise those columns are checked alone."""
+    f = _factor(m)
+    if f.alpha > 1.0 + CONTRACTION_TOL:
         raise ContractionError(
-            f"step {step_index}: spectral norm {sigma!r} exceeds 1 "
-            f"(dilation would contract amplitudes by 1/{sigma:.6g})"
+            f"step {step_index}: spectral norm {f.alpha!r} exceeds 1 "
+            f"(dilation would contract amplitudes by 1/{f.alpha:.6g})"
         )
-    if sigma > 1.0:
-        a, s = a / sigma, s / sigma  # numerical overshoot within tolerance
-    r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    if a.ndim == 2:
-        r = (vh.conj().T * r) @ vh
-    return a, r
+    if witness is None:
+        _check_isometry(f.a, f.r, step_index)
+    else:
+        n = m.shape[0].bit_length() - 1  # A is 2^n x 2^n
+        targets = (witness.qubit_count,) + tuple(range(n - 1, -1, -1))
+        witness.gates.append(block(f.encoding(), targets))
+        witness.qubit_count += 1
+    return f
 
 
 def _check_isometry(a: np.ndarray, r: np.ndarray, step_index: int) -> None:
@@ -276,27 +273,17 @@ def apply_affine_step(
         raise MissingWitnessError("physical mode requires a circuit witness")
     if state.num_qubits + 2 > MAX_QUBITS:
         raise CapacityError(f"qubit count {state.num_qubits + 2} exceeds {MAX_QUBITS}")
-    a_blk, r_blk = _dilation_half(m, step_index)
-    if witness is not None:
-        # the witness carries the whole dilation; its ancilla-0 columns are
-        # what the state gets, so the two agree even where block_encode
-        # guards a norm that reads a few ulp above 1
-        enc = block_encode(a_blk if a_blk.ndim == 2 else np.diag(a_blk))
-        a_blk, r_blk = enc.U[:dim, :dim], enc.U[dim:, :dim]
-        targets = (state.num_qubits,) + tuple(range(base_n - 1, -1, -1))
-        witness.qubit_count += 1
-        witness.gates.append(block(enc.U, targets))
-    _check_isometry(a_blk, r_blk, step_index)
+    f = _step_dilation(m, step_index, witness)
     d = state.dim
     if mode == "abstract":
         buf = np.empty(4 * d, dtype=np.complex128)
         buf[:d] = state.amplitudes
         head, resid = _translation_support(b, step_index, 2 * d, translation_weight)
-        _stage(buf, d, a_blk, r_blk, head, resid)
+        _stage(buf, d, f.a, f.r, head, resid)
         return QuantumState(state.num_qubits + 2, buf)
     phi = np.empty(2 * d, dtype=np.complex128)
     x = state.amplitudes.reshape(-1, dim)
-    _write_dilation(x, a_blk, r_blk, phi[:d].reshape(x.shape), phi[d:].reshape(x.shape))
+    _write_dilation(x, f.a, f.r, phi[:d].reshape(x.shape), phi[d:].reshape(x.shape))
     _check_normalized(phi)
     rt = rescale_translation(b, step_index, 2 * d, weight=translation_weight)
     return hadamard_addsub_inplace(QuantumState(state.num_qubits + 1, phi), rt.b_tilde, mode, witness)
@@ -327,9 +314,8 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
         d = 1 << n
         buf[:d] = state.amplitudes
         for j, step in enumerate(seq.steps, start=1):
-            a, r = _dilation_half(step.A, j)
-            _check_isometry(a, r, j)
-            _stage(buf, d, a, r, *_translation_support(step.B, j, 2 * d))
+            f = _step_dilation(step.A, j)
+            _stage(buf, d, f.a, f.r, *_translation_support(step.B, j, 2 * d))
             d *= 4
         state = QuantumState(n + 2 * k, buf)
     return PipelineResult(

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockenc import BlockEncoding
 from .errors import (
     CapacityError,
     InvalidInputError,
@@ -144,13 +145,14 @@ def _apply(arr: np.ndarray, q: int, u: np.ndarray, targets, controls, control_va
 
 def _validated_gate(u, t: int) -> np.ndarray | Reflector:
     """A gate matrix checked for shape and unitarity and kept as a read-only
-    copy, so it cannot change after its check; a Reflector checked its
-    unitarity in O(d) when it was built, and holds read-only data."""
-    structured = isinstance(u, Reflector)
-    m = u if structured else as_matrix(u).copy()
+    copy, so it cannot change after its check.  A Reflector and a
+    BlockEncoding's U were checked when built and hold read-only data, so
+    only their shape is checked here."""
+    checked = isinstance(u, (Reflector, BlockEncoding))
+    m = getattr(u, "U", u) if checked else as_matrix(u).copy()
     if m.shape != (1 << t, 1 << t):
         raise ShapeError(f"matrix shape {m.shape} does not act on {t} qubit(s)")
-    if not structured:
+    if not checked:
         if not is_unitary(m, UNITARY_ATOL):
             raise UnitarityError(f"matrix is not unitary within {UNITARY_ATOL:g}")
         m.flags.writeable = False

@@ -167,6 +167,15 @@ def reconstruction_error(gl: GateList, u) -> float:
     return max_abs(m * np.conj(phase) - target)
 
 
+def _lowered(blocks: GateList, label: str) -> GateList:
+    """Lower a block-level circuit; the result must reproduce its product."""
+    out = lower(blocks)
+    err = reconstruction_error(out, gatelist_matrix(blocks))
+    if err > AGREEMENT_TOL:
+        raise QAffineError(f"{label} circuit lowering error {err:.3e} exceeds 1e-8")
+    return out
+
+
 def compare_methods(a, b, psi) -> tuple[GateCountReport, GateCountReport]:
     """Gate-count comparison on the 4-qubit instance: sequential pipeline
     (k=1, physical mode) versus the augmented single-dilation baseline.
@@ -181,26 +190,11 @@ def compare_methods(a, b, psi) -> tuple[GateCountReport, GateCountReport]:
     bv = None if b is None else as_vector(b)
     p = as_vector(psi)
 
-    seq = AffineSequence(2, p, (AffineStep(m, bv),))
-    res = run_pipeline(seq, mode="physical")
-    ours_blocks = res.circuit
-    ours = lower(ours_blocks)
-    err = reconstruction_error(ours, gatelist_matrix(ours_blocks))
-    if err > AGREEMENT_TOL:
-        raise QAffineError(f"pipeline circuit lowering error {err:.3e} exceeds 1e-8")
-
+    res = run_pipeline(AffineSequence(2, p, (AffineStep(m, bv),)), mode="physical")
+    ours = _lowered(res.circuit, "pipeline")
     aug = build_augmented(m, bv if bv is not None else np.zeros(4), p)
-    aug_blocks = GateList(
-        4,
-        [
-            block(completion_unitary(aug.psi_tilde), (2, 1, 0)),
-            block(aug.enc.U, (3, 2, 1, 0)),
-        ],
-    )
-    augl = lower(aug_blocks)
-    err = reconstruction_error(augl, gatelist_matrix(aug_blocks))
-    if err > AGREEMENT_TOL:
-        raise QAffineError(f"augmented circuit lowering error {err:.3e} exceeds 1e-8")
+    prep = block(completion_unitary(aug.psi_tilde), (2, 1, 0))
+    augl = _lowered(GateList(4, [prep, block(aug.enc, (3, 2, 1, 0))]), "augmented")
 
     diff = max_abs(extract_result(res) - run_augmented(aug))
     if diff > AGREEMENT_TOL:

@@ -25,12 +25,17 @@ def test_alpha_is_one_for_contractions():
 
 
 def test_alpha_inflates_for_expansive_matrices():
+    # alpha is sigma_max itself, with no guard: s / alpha <= 1 holds exactly
     a = 3.0 * np.eye(2)
     enc = block_encode(a)
-    assert enc.alpha > 3.0
-    assert enc.alpha == pytest.approx(3.0, rel=1e-11)
+    assert enc.alpha == np.linalg.norm(a, 2)
     assert np.linalg.norm(enc.U[:2, :2], 2) <= 1.0
     assert np.max(np.abs(enc.U[:2, :2] * enc.alpha - a)) <= 1e-9
+    rng = np.random.default_rng(45)
+    b = 3.0 * random_unitary(rng, 4) @ np.diag([1.0, 0.5, 0.2, 0.1])
+    enc = block_encode(b)
+    assert enc.alpha == np.linalg.svd(b)[1][0]
+    assert np.max(np.abs(enc.U[:4, :4] * enc.alpha - b)) <= 1e-9
 
 
 def test_identity_input_dilation():
@@ -82,7 +87,8 @@ def test_block_encode_rejects_bad_shapes():
 
 
 def test_alpha_guard_handles_norm_boundary():
-    # near-isometries sit right at the PSD clamp; the guard must keep them encodable
+    # near-isometries sit right at singular value 1, which the factorization
+    # reads as exactly 1 within ONE_TOL; they must stay encodable
     for eps in (0.0, 1e-13, 1e-11):
         enc = block_encode(np.eye(2) * (1.0 - eps))
         assert enc.alpha == 1.0
@@ -117,3 +123,25 @@ def test_block_encode_factors_once(monkeypatch):
 def test_block_encoding_checks_unitarity_when_built():
     with pytest.raises(EncodingError):
         BlockEncoding(np.diag([1.0, 2.0]), 1.0, 1)
+
+
+def test_block_encoding_holds_a_read_only_copy():
+    u = np.eye(4, dtype=complex)
+    enc = BlockEncoding(u, 1.0, 2)
+    u[0, 0] = 2.0
+    assert enc.U[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        block_encode(0.5 * X).U[0, 0] = 2.0
+
+
+def test_singular_values_at_one_give_exact_zero_residual():
+    # a dense unitary reads its singular values a few ulp off 1; they count
+    # as exactly 1, so both residual blocks vanish and alpha stays 1
+    rng = np.random.default_rng(46)
+    for dim in (2, 4, 8, 16):
+        u = random_unitary(rng, dim)
+        enc = block_encode(u)
+        assert enc.alpha == 1.0
+        assert np.array_equal(enc.U[:dim, :dim], u)
+        assert np.max(np.abs(enc.U[:dim, dim:])) == 0.0
+        assert np.max(np.abs(enc.U[dim:, :dim])) == 0.0

@@ -244,6 +244,29 @@ def test_physical_checks_no_matrix_wider_than_the_dilation(monkeypatch):
         assert max(np.shape(args[0])[0] for args in calls) == 1 << (n + 1)
 
 
+def test_physical_stage_factors_and_checks_its_dilation_once(monkeypatch):
+    # one SVD and one unitarity check of the 2N x 2N dilation per dense step;
+    # the checked BlockEncoding covers the isometry, so that check is skipped
+    svd_calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    checks = count_calls(monkeypatch, "is_unitary")
+    isometry = count_calls(monkeypatch, "_check_isometry")
+    rng = np.random.default_rng(79)
+    for n, k in ((1, 3), (2, 2), (3, 1)):
+        svd_calls.clear()
+        checks.clear()
+        run_pipeline(random_sequence(rng, n, k), mode="physical")
+        assert len(svd_calls) == k
+        assert sum(np.shape(args[0])[0] == 2 << n for args in checks) == k
+        assert isometry == []
+
+
 def test_unknown_mode_rejected():
     seq = AffineSequence(1, [1.0, 0.0], (AffineStep(np.eye(2)),))
     with pytest.raises(InvalidInputError):
@@ -342,12 +365,12 @@ def test_dense_contraction_slack_is_rescaled():
 
 
 def test_abstract_mode_never_builds_the_dilation(monkeypatch):
-    import qaffine.pipeline
+    import qaffine.blockenc
 
     def refuse(_):
         raise AssertionError("abstract mode built a 2N x 2N dilation")
 
-    monkeypatch.setattr(qaffine.pipeline, "block_encode", refuse)
+    monkeypatch.setattr(qaffine.blockenc._Dilation, "encoding", refuse)
     rng = np.random.default_rng(72)
     seq = random_sequence(rng, 2, 3)
     got = extract_result(run_pipeline(seq))
@@ -371,14 +394,18 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
 
 
 def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
+    # a factorization whose residual block R is zeroed: the abstract stage
+    # fails its isometry check, the physical stage the unitarity check of
+    # the U it builds from the same factorization
     import qaffine.pipeline
 
-    monkeypatch.setattr(
-        qaffine.pipeline, "_dilation_half", lambda m, j: (m, np.zeros_like(m))
-    )
+    factor = qaffine.pipeline._factor
+    monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: factor(m)._replace(r=np.zeros_like(m)))
     st = init_amplitudes([1.0, 0.0])
     with pytest.raises(EncodingError):
         apply_affine_step(st, 0.5 * X, None, 1, 1)
     seq = AffineSequence(1, [1.0, 0.0], (AffineStep(0.5 * X),))
     with pytest.raises(EncodingError):
         run_pipeline(seq)
+    with pytest.raises(EncodingError):
+        run_pipeline(seq, mode="physical")

@@ -154,3 +154,16 @@ def test_compare_methods_zero_translation():
 def test_compare_methods_requires_4x4():
     with pytest.raises(ShapeError):
         compare_methods(np.eye(2), [1.0, 0.0], [1.0, 0.0])
+
+
+def test_compare_methods_counts_are_stable_for_a_unitary_step():
+    # a dense unitary reads its singular values a few ulp off 1; the
+    # dilation reads them as exactly 1, so a 1e-15 relative change of A
+    # leaves both lowered circuits, and their counts, as they were
+    rng = np.random.default_rng(86)
+    for i in range(10):
+        a = random_unitary(rng, 4)
+        b = random_state_vector(rng, 4) if i % 3 else None
+        psi = random_state_vector(rng, 4)
+        e = rng.uniform(-1.0, 1.0, (4, 4)) + 1j * rng.uniform(-1.0, 1.0, (4, 4))
+        assert compare_methods(a * (1.0 + 1e-15 * e), b, psi) == compare_methods(a, b, psi)
