@@ -9,7 +9,10 @@ The map x -> A x + B embeds into one linear map on a doubled register:
 last amplitude).  One dilation of A~ then computes A psi + B in a single
 unitary of dimension 4N x 4N, versus 2N x 2N per stage for the sequential
 pipeline.  Used as an independent cross-check and as the cost baseline for
-gate counting.
+gate counting.  The N - 1 identity coordinates of A~ that B does not touch
+are singular pairs of their own, so factoring A~ takes one SVD of the
+(N + 1) x (N + 1) core that A and B couple (`blockenc._factor`); the 4N x 4N
+unitary is still built and checked whole.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ A matrix A with spectral norm at most alpha embeds into the unitary
 so applying U to a register whose top ancilla is |0> acts as A/alpha on the
 ancilla-0 block; alpha is 1 for a contraction, else sigma_max.
 
-Every route factors A once, in `_factor` (one SVD, or O(N) for a diagonal
-A).  The abstract pipeline stage takes only the ancilla-0 columns from it;
-the physical stage's witness and `block_encode` (baseline, synthesis) build
-U from it, checked once, in `BlockEncoding`.
+Every route factors A once, in `_factor`.  A diagonal A takes O(N).
+Otherwise the dilation of a direct sum is the direct sum of the dilations,
+so an entry alone in its row and column is split off as its own singular
+pair and the one SVD runs on the coupled core left over: none for a phased
+permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  The
+abstract pipeline stage takes only the ancilla-0 columns from it; the
+physical stage's witness and `block_encode` (baseline, synthesis) build U
+from it, checked once, in `BlockEncoding`.
 """
 
 from __future__ import annotations
@@ -52,15 +56,19 @@ class BlockEncoding:
 
 
 class _Dilation(NamedTuple):
-    """The dilation of A/alpha from A = W diag(s) V^dag: ancilla-0 columns
-    `a` = A/alpha and `r` = V diag(rs) V^dag, top-right block W diag(rs) W^dag.
-    For a diagonal A (w None) `a` and `r` = `rs` hold the diagonals."""
+    """The dilation of A/alpha: ancilla-0 columns `a` = A/alpha and
+    `r` = sqrt(I - A^dag A / alpha^2).  The top-right block
+    sqrt(I - A A^dag / alpha^2) is built only by `encoding`, from the core's
+    left singular vectors `w`, the residuals `rs` and the row order `rows`
+    (see `_residual`).  For a diagonal A (w None) `a` and `r` = `rs` hold
+    the diagonals."""
 
     a: np.ndarray
     r: np.ndarray
     alpha: float
     w: np.ndarray | None
     rs: np.ndarray
+    rows: np.ndarray | None
 
     def encoding(self) -> BlockEncoding:
         """The full 2N x 2N dilation, checked once."""
@@ -69,27 +77,80 @@ class _Dilation(NamedTuple):
             r = top_right = np.diag(self.r)
         else:
             a, r = self.a, self.r
-            top_right = (self.w * self.rs) @ self.w.conj().T
+            top_right = _residual(self.w, self.w.conj().T, self.rs, self.rows)
         return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha, a.shape[0])
+
+
+def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Row and column orders with the core first and the pairs after it, and
+    the core size; None when there is no pair.  A pair is an entry A_ij
+    that is the only nonzero of both row i and column j: its own singular
+    pair, |A_ij| with vectors e_i (times a phase) and e_j.  Each pair takes
+    one row and one column, so the core left over, zero rows and columns
+    included, is square."""
+    nz = m != 0
+    pair_rows = np.flatnonzero(np.count_nonzero(nz, axis=1) == 1)
+    pair_cols = nz[pair_rows].argmax(axis=1)
+    alone = np.count_nonzero(nz, axis=0)[pair_cols] == 1
+    if not alone.any():
+        return None
+    pair_rows, pair_cols = pair_rows[alone], pair_cols[alone]
+    core_rows, core_cols = np.ones(m.shape[0], bool), np.ones(m.shape[0], bool)
+    core_rows[pair_rows] = core_cols[pair_cols] = False
+    rows = np.concatenate([np.flatnonzero(core_rows), pair_rows])
+    cols = np.concatenate([np.flatnonzero(core_cols), pair_cols])
+    return rows, cols, m.shape[0] - pair_rows.shape[0]
+
+
+def _residual(left: np.ndarray, right: np.ndarray, rs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """left diag(rs) right over the core coordinates order[:c] and rs itself
+    on the paired ones order[c:]; order None means the core is everything."""
+    c = left.shape[0]
+    core = (left * rs[:c]) @ right
+    if order is None:
+        return core
+    out = np.zeros((order.shape[0], order.shape[0]), dtype=np.complex128)
+    out[np.ix_(order[:c], order[:c])] = core
+    out[order[c:], order[c:]] = rs[c:]
+    return out
 
 
 def _factor(m: np.ndarray) -> _Dilation:
     """Factor a square matrix once.  alpha = sigma_max unless that is at most
     1 + ONE_TOL (then 1), so s / alpha <= 1 holds exactly in IEEE arithmetic;
-    singular values of A/alpha within ONE_TOL of 1 become 1 (rs = 0)."""
+    singular values of A/alpha within ONE_TOL of 1 become 1 (rs = 0).
+
+    A diagonal A is its own SVD.  Otherwise A is, up to row and column
+    orders, the direct sum of a core and its pairs (`_split`), and so is its
+    dilation: the one SVD runs on the core only, and none runs when the core
+    is empty (a phased permutation) or all zero.  A matrix with no zero
+    entry has no pairs and is factored whole."""
     diagonal = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(diagonal):
-        a, s, w, vh = diagonal, np.abs(diagonal), None, None
+    nonzero = np.count_nonzero(m)
+    w = vh = rows = cols = None
+    if nonzero == np.count_nonzero(diagonal):
+        a, s = diagonal, np.abs(diagonal)
     else:
-        w, s, vh = np.linalg.svd(m)
-        a = m
+        a, core, paired = m, m, np.zeros(0)
+        split = _split(m) if nonzero < m.size else None
+        if split is not None:
+            rows, cols, c = split
+            if nonzero == m.shape[0] - c:  # an all-zero core: its zero rows
+                c = 0  # and columns pair off in order, as pairs of value 0
+            core, paired = m[np.ix_(rows[:c], cols[:c])], np.abs(m[rows[c:], cols[c:]])
+        if core.size:
+            w, s, vh = np.linalg.svd(core)
+        else:
+            w, s, vh = core, np.zeros(0), core
+        s = np.concatenate([s, paired])
     sigma = float(s.max())
     alpha = 1.0 if sigma <= 1.0 + ONE_TOL else sigma
     if alpha != 1.0:
         a, s = a / alpha, s / alpha
     s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
     rs = np.sqrt(1.0 - s**2)
-    return _Dilation(a, rs if vh is None else (vh.conj().T * rs) @ vh, alpha, w, rs)
+    r = rs if vh is None else _residual(vh.conj().T, vh, rs, cols)
+    return _Dilation(a, r, alpha, w, rs, rows)
 
 
 def block_encode(a) -> BlockEncoding:

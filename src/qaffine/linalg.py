@@ -56,7 +56,9 @@ def is_unitary(m, tol: float) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitarity is only defined for square matrices, got {a.shape}")
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
+    gram = a.conj().T @ a
+    gram.flat[:: a.shape[0] + 1] -= 1.0  # subtract the identity along the diagonal
+    return max_abs(gram) <= tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,10 @@ all add/sub ancillas 0 carries (result)_i / 2^k.
 The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
 R = sqrt(I - A^dag A), from the one factorization of A that every route
-shares (`blockenc._factor`: one SVD, or O(N) for a diagonal A).  Abstract
-mode never builds the 2N x 2N unitary; physical mode builds it from the same
-factorization for its gate witness, so witness and state apply one pair of
-blocks.
+shares (`blockenc._factor`: one SVD of the coupled core, or O(N) for a
+diagonal A).  Abstract mode never builds the 2N x 2N unitary; physical mode
+builds it from the same factorization for its gate witness, so witness and
+state apply one pair of blocks.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
@@ -169,18 +169,16 @@ def _translation_support(b, step_index: int, target_dim: int, weight: float = 1.
         raise ShapeError(
             f"translation length {v.shape[0]} does not fit dimension {target_dim}"
         )
-    scaled = v / check_unit_norm(v, "translation") * (weight / 2 ** (j - 1))
-    resid_sq = 1.0 - float(np.sum(np.abs(scaled) ** 2))
-    if resid_sq < -1e-12:
-        raise NormalizationError(f"rescaled translation has norm^2 {1.0 - resid_sq!r} above 1")
-    return scaled, float(np.sqrt(max(resid_sq, 0.0)))
+    scale = weight / 2 ** (j - 1)
+    # B is renormalized, so the residual is exact from the scale alone
+    return v / check_unit_norm(v, "translation") * scale, float(np.sqrt(1.0 - scale**2))
 
 
 def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0) -> RescaledTranslation:
     """Embed a translation vector into the register present at step j.
 
-    The first N entries become weight * beta_i / 2^(j-1); a single residual
-    sqrt(1 - weight^2 * sum|beta_i|^2 / 4^(j-1)) at the all-ones index makes
+    The first N entries become weight * beta_i / 2^(j-1), for beta = B/|B|;
+    a single residual sqrt(1 - weight^2 / 4^(j-1)) at the all-ones index makes
     the result a unit vector without touching any measured or branch-tracked
     index.  b = None (zero translation) yields the pure garbage vector.
     """

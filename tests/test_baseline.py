@@ -113,6 +113,24 @@ def test_run_augmented_checks_no_unitarity(monkeypatch):
     assert calls == []
 
 
+def test_build_augmented_factors_only_the_coupled_core(monkeypatch):
+    # the N - 1 identity coordinates of A~ are singular pairs: one SVD, of
+    # the N + 1 rows and columns that A and B couple
+    rng = np.random.default_rng(75)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded_svd(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    for dim in (2, 8, 32):
+        shapes.clear()
+        build_augmented(random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim))
+        assert shapes == [(dim + 1, dim + 1)]
+
+
 @given(
     kind=st.sampled_from(sorted(MATRICES)),
     n=st.integers(1, 3),

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_contraction, random_unitary
+from conftest import random_contraction, random_state_vector, random_unitary
+from hypothesis import given
+from hypothesis import strategies as st
+from test_stage_properties import MATRICES
 
 from qaffine import (
     BlockEncoding,
@@ -8,8 +11,10 @@ from qaffine import (
     ShapeError,
     apply_unitary,
     block_encode,
+    build_augmented,
     is_unitary,
 )
+from qaffine.blockenc import ONE_TOL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -145,3 +150,54 @@ def test_singular_values_at_one_give_exact_zero_residual():
         assert np.array_equal(enc.U[:dim, :dim], u)
         assert np.max(np.abs(enc.U[:dim, dim:])) == 0.0
         assert np.max(np.abs(enc.U[dim:, :dim])) == 0.0
+
+
+# --- the core/pair split against one SVD of the whole matrix ----------------
+
+
+def whole_matrix_dilation(m):
+    """The dilation as factored before the core/pair split: one SVD of the
+    whole matrix, with the same alpha and the same clamp at ONE_TOL."""
+    w, s, vh = np.linalg.svd(m)
+    sigma = float(s.max())
+    alpha = 1.0 if sigma <= 1.0 + ONE_TOL else sigma
+    a, s = m / alpha, s / alpha
+    s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
+    rs = np.sqrt(1.0 - s**2)
+    r, top_right = (vh.conj().T * rs) @ vh, (w * rs) @ w.conj().T
+    return np.block([[a, top_right], [r, -a.conj().T]]), alpha
+
+
+def single_nonzero(rng, dim):
+    a = np.zeros((dim, dim), dtype=complex)
+    a[rng.integers(dim), rng.integers(dim)] = rng.uniform(0.1, 1.0) * np.exp(2j * np.pi * rng.uniform())
+    return a
+
+
+def augmented(rng, dim):
+    """The baseline's A~, of size 2N >= dim."""
+    n = max(dim // 2, 2)
+    b = random_state_vector(rng, n) if rng.uniform() < 0.7 else np.zeros(n)
+    return build_augmented(random_contraction(rng, n), b, random_state_vector(rng, n)).A_tilde
+
+
+KINDS = {**MATRICES, "single_nonzero": single_nonzero, "augmented": augmented}
+
+
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    n=st.integers(1, 4),
+    scale=st.sampled_from([0.5, 1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_matches_whole_matrix_svd(kind, n, scale, seed):
+    # dense cores, singular pairs (permuted, phased, unit or not), zero rows
+    # and columns, alpha above 1, a single nonzero, all zero, A~
+    rng = np.random.default_rng(seed)
+    a = scale * KINDS[kind](rng, 1 << n)
+    want_u, want_alpha = whole_matrix_dilation(a)
+    enc = block_encode(a)
+    assert np.max(np.abs(enc.U - want_u)) <= 1e-12
+    # two SVDs of different sizes each read sigma_max O(N) ulp off: up to
+    # 9 ulp each for a 32 x 32 A~, against a 40-digit reference
+    assert abs(enc.alpha - want_alpha) <= 2 * a.shape[0] * np.spacing(want_alpha)

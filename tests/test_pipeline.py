@@ -88,12 +88,22 @@ def test_rescale_validation():
         rescale_translation([1.0, 0.0], 0, 8)
 
 
-def test_rescale_residual_below_zero_raises(monkeypatch):
-    # a norm read 1e-9 low passes the 1e-8 check but makes the rescaled
-    # entries overshoot a unit vector: a typed error, not a bare assert
+def test_rescale_residual_with_a_low_norm_reading_is_exactly_zero(monkeypatch):
+    # a norm read 1e-9 low passes the 1e-8 check; the residual comes from
+    # the step scale alone, so it is exactly 0 at step 1 and no error
     monkeypatch.setattr(np.linalg, "norm", lambda v: 1.0 - 1e-9)
-    with pytest.raises(NormalizationError):
-        rescale_translation([1.0, 0.0], 1, 8)
+    rt = rescale_translation([1.0, 0.0], 1, 8)
+    assert rt.b_tilde[7] == 0.0
+
+
+def test_rescale_residual_is_exact_for_unit_translations():
+    # at step 1 with weight 1 the residual is 0 in exact arithmetic; a sum
+    # of the rescaled |entries|^2 rounds to 1 - ulp and left up to ~1.8e-8
+    rng = np.random.default_rng(66)
+    for _ in range(500):
+        b = random_state_vector(rng, int(2 ** rng.integers(1, 6)))
+        assert rescale_translation(b, 1, 4 * b.shape[0]).b_tilde[-1] == 0.0
+        assert rescale_translation(b, 2, 4 * b.shape[0], weight=-0.5).b_tilde[-1] == np.sqrt(1.0 - 1.0 / 16.0)
 
 
 # --- step and sequence validation -------------------------------------------
@@ -378,9 +388,14 @@ def test_abstract_mode_never_builds_the_dilation(monkeypatch):
 
 
 def test_diagonal_step_needs_no_svd(monkeypatch):
-    # a*I and phased diagonals take the elementwise O(N) route
+    # a*I and phased diagonals take the elementwise O(N) route; a phased
+    # permutation is all singular pairs, and with a zero column its core is
+    # one zero entry
     rng = np.random.default_rng(73)
     d = 0.9 * np.exp(2j * np.pi * rng.uniform(size=64))
+    perm = np.diag(d)[rng.permutation(64)]
+    holed = perm.copy()
+    holed[:, 5] = 0.0
     psi = random_state_vector(rng, 64)
     b = random_state_vector(rng, 64)
 
@@ -388,7 +403,7 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
         raise AssertionError("diagonal step ran an SVD")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    for a in (np.diag(d), -0.5 * np.eye(64), np.zeros((64, 64))):
+    for a in (np.diag(d), -0.5 * np.eye(64), np.zeros((64, 64)), perm, holed):
         st = apply_affine_step(init_amplitudes(psi), a, b, 1, 6)
         assert np.max(np.abs(2 * st.amplitudes[:64] - (a @ psi + b))) <= 1e-12
 

@@ -59,11 +59,30 @@ def _phases(rng, dim):
 
 
 def _near_diagonal(rng, d):
-    """Diagonal except for one entry: must take the dense route."""
+    """Diagonal except for one entry A_ij: not the diagonal route, and the
+    factorization splits off every other entry as a singular pair, leaving
+    rows and columns {i, j} as a 2 x 2 core."""
     a = np.diag(_phases(rng, d) * rng.uniform(0.0, 0.6, d))
     i, j = rng.choice(d, size=2, replace=False)
     a[i, j] = 0.3 * _phases(rng, 1)[0]
     return a
+
+
+def _permuted_blocks(rng, d):
+    """Row and column permutations of (dense core + phased monomial): a
+    core of random size, with a zero row and column half the time when it
+    has two or more, and entries alone in their rows and columns, half of
+    them of unit modulus."""
+    c = int(rng.integers(0, d + 1))
+    a = np.zeros((d, d), dtype=complex)
+    if c:
+        a[:c, :c] = with_singular_values(rng, rng.uniform(0.0, 0.95, c))
+    if c > 1 and rng.uniform() < 0.5:
+        a[int(rng.integers(c)), :c] = 0.0
+        a[:c, int(rng.integers(c))] = 0.0
+    moduli = np.where(rng.uniform(size=d - c) < 0.5, 1.0, rng.uniform(0.0, 1.0, d - c))
+    a[c:, c:] = np.diag(_phases(rng, d - c) * moduli)
+    return a[rng.permutation(d)][:, rng.permutation(d)]
 
 
 MATRICES = {
@@ -87,6 +106,7 @@ MATRICES = {
     "scalar": lambda rng, d: rng.uniform(-1.0, 1.0) * np.exp(2j * np.pi * rng.uniform()) * np.eye(d),
     "identity": lambda rng, d: np.eye(d, dtype=complex),
     "near_diagonal": _near_diagonal,
+    "permuted_blocks": _permuted_blocks,
 }
 
 
