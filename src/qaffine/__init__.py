@@ -85,13 +85,17 @@ from .simulator import (
     prepend_ancilla,
     sample,
 )
-from .synthesis import (
-    GateCountReport,
-    compare_methods,
-    count_gates,
-    lower,
-    reconstruction_error,
-    synthesize,
-)
 
 __version__ = "0.1.0"
+
+# `synthesis` imports scipy.linalg, which loads a second OpenBLAS with its own
+# thread pool; it is loaded on the first use of one of its names (PEP 562).
+_SYNTHESIS = ("GateCountReport", "compare_methods", "count_gates", "lower", "reconstruction_error", "synthesize")
+
+
+def __getattr__(name):
+    if name in _SYNTHESIS:
+        from . import synthesis
+
+        return getattr(synthesis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

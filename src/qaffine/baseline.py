@@ -11,8 +11,9 @@ unitary of dimension 4N x 4N, versus 2N x 2N per stage for the sequential
 pipeline.  Used as an independent cross-check and as the cost baseline for
 gate counting.  The N - 1 identity coordinates of A~ that B does not touch
 are singular pairs of their own, so factoring A~ takes one SVD of the
-(N + 1) x (N + 1) core that A and B couple (`blockenc._factor`); the 4N x 4N
-unitary is still built and checked whole.
+(N + 1) x (N + 1) core that A and B couple (`blockenc._factor`).  The
+4N x 4N unitary is still built whole, but checked over the same split: one
+Gram of its 2(N + 1)-wide core block and a 2 x 2 block per pair.
 """
 
 from __future__ import annotations

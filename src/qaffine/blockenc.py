@@ -16,7 +16,13 @@ permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  The
 abstract pipeline stage takes only the ancilla-0 columns from it; the
 physical stage's witness and `block_encode` (baseline, synthesis) build U
 from it, checked once, in `BlockEncoding`.
-"""
+
+A direct sum is unitary exactly when each summand is, so both checks of a
+dilation, U's unitarity and the isometry [A; R], follow the same split
+(`_block_deviation`): after one count shows that every entry outside the
+blocks is zero, they form the Gram of the core block only and check the
+pairs' 2 x 2 (or 2 x 1) blocks in O(N).  A dilation with no pairs, or any
+nonzero outside the blocks, is checked whole."""
 
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EncodingError, ShapeError
-from .linalg import as_matrix, is_unitary
+from .linalg import as_matrix, gram_deviation, is_unitary
 
 UNITARY_TOL = 1e-10
 # An SVD returns a singular value that is 1 in exact arithmetic a few ulp off
@@ -41,17 +47,25 @@ ONE_TOL = 1e-13
 class BlockEncoding:
     """A dilation U of A/alpha on a block of dimension block_dim.  U is
     checked for unitarity (within UNITARY_TOL) once, here, and kept as a
-    read-only copy, so gates can run it without checking it again."""
+    read-only copy, so gates can run it without checking it again.
+
+    `blocks` is A's direct-sum partition (rows, cols, c) from its
+    factorization (see `_split`), or None for one dense block.  Given one,
+    U is checked block by block (`_block_deviation`), which falls back to
+    the dense check whenever an entry outside the blocks is nonzero."""
 
     U: np.ndarray
     alpha: float
     block_dim: int
+    blocks: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def __post_init__(self):
         u = np.array(self.U, dtype=np.complex128)  # is_unitary validates it
         u.flags.writeable = False
         object.__setattr__(self, "U", u)
-        if not is_unitary(u, UNITARY_TOL):
+        n = self.block_dim
+        dev = None if self.blocks is None else _block_deviation(u[:n], u[n:], *self.blocks, wide=True)
+        if not (is_unitary(u, UNITARY_TOL) if dev is None else dev <= UNITARY_TOL):
             raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
 
 
@@ -61,7 +75,9 @@ class _Dilation(NamedTuple):
     sqrt(I - A A^dag / alpha^2) is built only by `encoding`, from the core's
     left singular vectors `w`, the residuals `rs` and the row order `rows`
     (see `_residual`).  For a diagonal A (w None) `a` and `r` = `rs` hold
-    the diagonals."""
+    the diagonals.  `rows`, `cols` and the core size `c` are A's direct-sum
+    partition (see `_split`; every index is a pair of a diagonal A), None
+    when the core is all of A."""
 
     a: np.ndarray
     r: np.ndarray
@@ -69,16 +85,22 @@ class _Dilation(NamedTuple):
     w: np.ndarray | None
     rs: np.ndarray
     rows: np.ndarray | None
+    cols: np.ndarray | None
+    c: int
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        return None if self.rows is None else (self.rows, self.cols, self.c)
 
     def encoding(self) -> BlockEncoding:
-        """The full 2N x 2N dilation, checked once."""
+        """The full 2N x 2N dilation, checked once, block by block."""
         if self.w is None:
             a = np.diag(self.a)
             r = top_right = np.diag(self.r)
         else:
             a, r = self.a, self.r
             top_right = _residual(self.w, self.w.conj().T, self.rs, self.rows)
-        return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha, a.shape[0])
+        return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha, a.shape[0], self.blocks)
 
 
 def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -128,8 +150,11 @@ def _factor(m: np.ndarray) -> _Dilation:
     diagonal = np.diagonal(m)
     nonzero = np.count_nonzero(m)
     w = vh = rows = cols = None
+    c = m.shape[0]
     if nonzero == np.count_nonzero(diagonal):
         a, s = diagonal, np.abs(diagonal)
+        rows = cols = np.arange(m.shape[0])
+        c = 0
     else:
         a, core, paired = m, m, np.zeros(0)
         split = _split(m) if nonzero < m.size else None
@@ -150,7 +175,39 @@ def _factor(m: np.ndarray) -> _Dilation:
     s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
     rs = np.sqrt(1.0 - s**2)
     r = rs if vh is None else _residual(vh.conj().T, vh, rs, cols)
-    return _Dilation(a, r, alpha, w, rs, rows)
+    return _Dilation(a, r, alpha, w, rs, rows, cols, c)
+
+
+def _is_order(o: np.ndarray, n: int) -> bool:
+    return o.shape == (n,) and o.dtype.kind in "iu" and np.array_equal(np.sort(o), np.arange(n))
+
+
+def _block_deviation(top, bottom, rows, cols, c: int, wide: bool) -> float | None:
+    """max |M^dag M - I| for M = [top; bottom] over the blocks of A's
+    direct-sum partition (rows, cols, c): M is [A; R], or U when `wide`.
+    top's rows follow A's rows and bottom's A's columns; M's columns follow
+    A's columns, then (U's right half) A's rows.  The core block, 2c rows
+    by c (or 2c) columns, is one Gram; the pairs' 2 x 1 (or 2 x 2) blocks
+    are checked together in O(N).  M^dag M is the direct sum of the blocks'
+    Grams when every entry outside them is zero.  None, for the dense check,
+    when one is not, when the partition is not a pair of orders of A's
+    indices, or when the deviation is not finite."""
+    rows, cols, n = np.asarray(rows), np.asarray(cols), top.shape[0]
+    width = 2 * n if wide else n
+    if not (_is_order(rows, n) and _is_order(cols, n) and 0 <= c <= n and top.shape == bottom.shape == (n, width)):
+        return None
+    core_cols, pair_cols = cols[:c], cols[c:, None]
+    if wide:
+        core_cols = np.concatenate([core_cols, n + rows[:c]])
+        pair_cols = np.column_stack([cols[c:], n + rows[c:]])
+    parts = ((top, rows), (bottom, cols))
+    core = [p[np.ix_(o[:c], core_cols)] for p, o in parts]
+    pairs = [p[o[c:, None, None], pair_cols[:, None, :]] for p, o in parts]
+    inside = sum(np.count_nonzero(b) for b in core + pairs)
+    if np.count_nonzero(top) + np.count_nonzero(bottom) != inside:
+        return None
+    dev = max(gram_deviation(*b) if b[0].size else 0.0 for b in (core, pairs))
+    return dev if np.isfinite(dev) else None
 
 
 def block_encode(a) -> BlockEncoding:

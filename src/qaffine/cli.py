@@ -37,7 +37,6 @@ from .pipeline import (
     extract_result,
     run_pipeline,
 )
-from .synthesis import compare_methods
 
 MODES = ("abstract", "physical")
 
@@ -231,6 +230,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_gates_compare(args) -> int:
+    from .synthesis import compare_methods  # loads scipy.linalg: only here
+
     seq, _ = parse_problem(args.problem)
     if seq.n != 2 or seq.k != 1:
         raise SchemaError(

@@ -52,13 +52,23 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m)))
 
 
+def gram_deviation(*parts: np.ndarray) -> float:
+    """max |M^dag M - I| for M the row stack of the parts, as the sum of
+    their Grams.  Parts of shape (..., rows, cols) stack per leading index,
+    so a batch of small blocks is checked in one call."""
+    gram = parts[0].conj().swapaxes(-1, -2) @ parts[0]
+    for p in parts[1:]:
+        gram += p.conj().swapaxes(-1, -2) @ p
+    w = gram.shape[-1]
+    gram.reshape(*gram.shape[:-2], w * w)[..., :: w + 1] -= 1.0  # subtract the identity along the diagonals
+    return max_abs(gram)
+
+
 def is_unitary(m, tol: float) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitarity is only defined for square matrices, got {a.shape}")
-    gram = a.conj().T @ a
-    gram.flat[:: a.shape[0] + 1] -= 1.0  # subtract the identity along the diagonal
-    return max_abs(gram) <= tol
+    return gram_deviation(a) <= tol
 
 
 @dataclass(frozen=True, eq=False)

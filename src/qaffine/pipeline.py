@@ -42,7 +42,7 @@ import numpy as np
 
 from . import simulator
 from .addsub import _fold, hadamard_addsub_inplace
-from .blockenc import UNITARY_TOL, _Dilation, _factor
+from .blockenc import UNITARY_TOL, _block_deviation, _Dilation, _factor
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
@@ -53,7 +53,7 @@ from .errors import (
     NormalizationError,
     ShapeError,
 )
-from .linalg import UNIT_NORM_TOL, as_matrix, as_vector, check_unit_norm, max_abs, state_preparation
+from .linalg import UNIT_NORM_TOL, as_matrix, as_vector, check_unit_norm, gram_deviation, max_abs, state_preparation
 from .simulator import MAX_QUBITS, QuantumState, _check_normalized
 
 CONTRACTION_TOL = 1e-10
@@ -202,7 +202,7 @@ def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = No
             f"(dilation would contract amplitudes by 1/{f.alpha:.6g})"
         )
     if witness is None:
-        _check_isometry(f.a, f.r, step_index)
+        _check_isometry(f, step_index)
     else:
         n = m.shape[0].bit_length() - 1  # A is 2^n x 2^n
         targets = (witness.qubit_count,) + tuple(range(n - 1, -1, -1))
@@ -211,12 +211,17 @@ def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = No
     return f
 
 
-def _check_isometry(a: np.ndarray, r: np.ndarray, step_index: int) -> None:
-    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I."""
-    if a.ndim == 1:
-        dev = max_abs(np.abs(a) ** 2 + r**2 - 1.0)
+def _check_isometry(f: _Dilation, step_index: int) -> None:
+    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I.  Checked
+    elementwise for a diagonal A, over the core's Gram and one 2 x 1 block
+    per pair when A splits (`blockenc._block_deviation`), else, or when an
+    entry outside those blocks is nonzero, by the two dense Grams."""
+    if f.a.ndim == 1:
+        dev = max_abs(np.abs(f.a) ** 2 + f.r**2 - 1.0)
     else:
-        dev = max_abs(a.conj().T @ a + r.conj().T @ r - np.eye(a.shape[0]))
+        dev = None if f.blocks is None else _block_deviation(f.a, f.r, *f.blocks, wide=False)
+        if dev is None:
+            dev = gram_deviation(f.a, f.r)
     if dev > UNITARY_TOL:
         raise EncodingError(
             f"step {step_index}: dilation columns deviate from an isometry by {dev:.3e}"

@@ -131,6 +131,20 @@ def test_build_augmented_factors_only_the_coupled_core(monkeypatch):
         assert shapes == [(dim + 1, dim + 1)]
 
 
+def test_build_augmented_checks_only_the_core_gram(monkeypatch):
+    # U is 4N x 4N, but the Gram formed is the core's: 2(N + 1) wide, plus
+    # one 2 x 2 Gram per singular pair
+    grams = count_calls(monkeypatch, "gram_deviation")
+    dense = count_calls(monkeypatch, "is_unitary")
+    rng = np.random.default_rng(76)
+    dim = 8
+    build_augmented(random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim))
+    widths = sorted(np.shape(part)[-1] for args in grams for part in args)
+    assert widths[-1] == 2 * (dim + 1)
+    assert widths.count(2) == 2
+    assert dense == []
+
+
 @given(
     kind=st.sampled_from(sorted(MATRICES)),
     n=st.integers(1, 3),

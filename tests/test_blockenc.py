@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_contraction, random_state_vector, random_unitary
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES
 
@@ -14,7 +14,8 @@ from qaffine import (
     build_augmented,
     is_unitary,
 )
-from qaffine.blockenc import ONE_TOL
+from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _block_deviation, _factor
+from qaffine.pipeline import _check_isometry
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -201,3 +202,91 @@ def test_factor_matches_whole_matrix_svd(kind, n, scale, seed):
     # two SVDs of different sizes each read sigma_max O(N) ulp off: up to
     # 9 ulp each for a 32 x 32 A~, against a 40-digit reference
     assert abs(enc.alpha - want_alpha) <= 2 * a.shape[0] * np.spacing(want_alpha)
+
+
+# --- the block-by-block check against the dense check ---------------------
+
+
+def with_zero_lines(rng, d):
+    """Permuted blocks with a zero row and a zero column: pairs of value 0,
+    or zero lines inside a core."""
+    a = MATRICES["permuted_blocks"](rng, d)
+    a[rng.integers(d), :] = 0.0
+    a[:, rng.integers(d)] = 0.0
+    return a
+
+
+BLOCK_KINDS = {
+    "phased_permutation": MATRICES["sigma_one_exact"],
+    "permuted_blocks": MATRICES["permuted_blocks"],
+    "near_diagonal": MATRICES["near_diagonal"],
+    "zero_lines": with_zero_lines,
+    "diagonal": MATRICES["diagonal_phases"],
+    "augmented": augmented,
+}
+
+
+def dense_deviation(m):
+    return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
+
+
+def block_labels(order, c):
+    """The block of each index: 0 for the core, k + 1 for pair k."""
+    pos = np.argsort(order)
+    return np.where(pos < c, 0, pos - c + 1)
+
+
+@given(
+    kind=st.sampled_from(sorted(BLOCK_KINDS)),
+    n=st.integers(1, 4),
+    scale=st.sampled_from([0.5, 1.0, 2.5]),
+    stretch=st.sampled_from([0.0, 1e-12, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_check_decides_as_the_dense_check(kind, n, scale, stretch, seed):
+    # U and [A; R], scaled by 1 + stretch to move the deviation across the
+    # tolerance, checked block by block and whole; then with a nonzero
+    # planted outside the blocks, which leaves the decision to the dense check
+    rng = np.random.default_rng(seed)
+    f = _factor(scale * BLOCK_KINDS[kind](rng, 1 << n))
+    assume(f.blocks is not None)
+    rows, cols, c = f.blocks
+    dim = rows.shape[0]
+    a, r = (np.diag(f.a), np.diag(f.r)) if f.a.ndim == 1 else (f.a, f.r)
+    lr, lc = block_labels(rows, c), block_labels(cols, c)
+    cases = (
+        (f.encoding().U, True, np.concatenate([lc, lr])),
+        (np.vstack([a, r]), False, lc),
+    )
+    for m, wide, col_labels in cases:
+        m = m * (1.0 + stretch)
+        dense = dense_deviation(m)
+        block = _block_deviation(m[:dim], m[dim:], rows, cols, c, wide)
+        assert abs(block - dense) <= 1e-15
+        assert (block <= UNITARY_TOL) == (dense <= UNITARY_TOL)
+        outside = np.argwhere(np.concatenate([lr, lc])[:, None] != col_labels[None, :])
+        i, j = outside[rng.integers(len(outside))]
+        for planted in (1e-14, 1e-3):
+            mp = m.copy()
+            mp[i, j] = planted
+            assert _block_deviation(mp[:dim], mp[dim:], rows, cols, c, wide) is None
+            refused = dense_deviation(mp) > UNITARY_TOL
+            try:
+                if wide:
+                    BlockEncoding(mp, f.alpha, dim, f.blocks)
+                else:
+                    _check_isometry(f._replace(a=mp[:dim], r=mp[dim:]), 1)
+            except EncodingError:
+                assert refused
+            else:
+                assert not refused
+
+
+def test_block_check_rejects_a_partition_that_is_not_one():
+    # orders that are not permutations of A's indices cannot vouch for the
+    # blocks: the dense check decides
+    u = np.diag([1.0, 1.0, 1.0, 2.0])
+    order = np.array([0, 0])
+    assert _block_deviation(u[:2], u[2:], order, np.arange(2), 0, True) is None
+    with pytest.raises(EncodingError):
+        BlockEncoding(u, 1.0, 2, (order, np.arange(2), 0))

@@ -12,6 +12,7 @@ from qaffine import (
     EncodingError,
     InvalidInputError,
     NormalizationError,
+    QuantumState,
     ShapeError,
     apply_affine_step,
     classical_affine_compose,
@@ -311,6 +312,24 @@ def test_capacity_limit():
     seq = AffineSequence(1, [1.0, 0.0], steps)
     with pytest.raises(CapacityError):
         run_pipeline(seq)
+
+
+def test_refusal_one_qubit_over_the_cap_allocates_nothing():
+    # a 25-qubit register would take 512 MiB; it is refused before anything
+    # of its size exists.  The 23-qubit input state is a zero-stride view.
+    seq = AffineSequence(1, [1.0, 0.0], tuple(AffineStep(0.5 * X) for _ in range(12)))
+    state = QuantumState(23, np.broadcast_to(np.complex128(1.0), (1 << 23,)))
+    tracemalloc.start()
+    try:
+        for mode in ("abstract", "physical"):
+            with pytest.raises(CapacityError):
+                run_pipeline(seq, mode=mode)
+        with pytest.raises(CapacityError):
+            apply_affine_step(state, 0.5 * X, None, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pipeline_at_the_qubit_cap():

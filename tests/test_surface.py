@@ -1,8 +1,11 @@
 """Every name the package exports has a user besides its own unit tests:
 another package module, or the acceptance criteria.  Only `synthesis`
-imports scipy."""
+imports scipy, and only a use of one of its names loads it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qaffine"
@@ -22,14 +25,26 @@ def _referenced_names(path: Path) -> set[str]:
     return names
 
 
+def _lazy_names(tree: ast.Module) -> set[str]:
+    """The names `__init__` loads on first use: its `_SYNTHESIS` tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_SYNTHESIS"]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def test_every_export_has_a_user():
     init = PACKAGE / "__init__.py"
+    tree = ast.parse(init.read_text())
     exported = {
         alias.asname or alias.name
-        for node in ast.parse(init.read_text()).body
+        for node in tree.body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    lazy = _lazy_names(tree)
+    assert "compare_methods" in lazy
+    exported |= lazy
     used = _referenced_names(ACCEPTANCE)
     for module in PACKAGE.glob("*.py"):
         if module != init:
@@ -52,3 +67,14 @@ def test_only_synthesis_imports_scipy():
     # numpy's; a numeric hot path that moved onto it ran slower, not faster
     importers = {module.stem for module in PACKAGE.glob("*.py") if "scipy" in _imported_top_level(module)}
     assert importers == {"synthesis"}
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_linalg():
+    code = (
+        "import sys, qaffine, qaffine.cli\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from qaffine import compare_methods\n"
+        "assert 'scipy.linalg' in sys.modules and compare_methods.__module__ == 'qaffine.synthesis'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
