@@ -7,32 +7,35 @@ The map x -> A x + B embeds into one linear map on a doubled register:
 
 (B sits in the last column of the top-right block, the constant 1 in the
 last amplitude).  One dilation of A~ then computes A psi + B in a single
-unitary of dimension 4N x 4N, versus 2N x 2N per stage for the sequential
-pipeline.  Used as an independent cross-check and as the cost baseline for
-gate counting.  The N - 1 identity coordinates of A~ that B does not touch
-are singular pairs of their own, so factoring A~ takes one SVD of the
-(N + 1) x (N + 1) core that A and B couple (`blockenc._factor`).  The
-4N x 4N unitary is still built whole, but checked over the same split: one
-Gram of its 2(N + 1)-wide core block and a 2 x 2 block per pair.
+4N x 4N unitary, versus 2N x 2N per sequential stage: an independent
+cross-check and the cost baseline for gate counting.  Factoring A~ takes one
+SVD of the N + 1 coordinates that A and B couple (`blockenc._factor`).  Only
+the ancilla-0 columns [A~/alpha ; R~] act, as in an abstract stage: they
+alone are checked and applied; U is built only when a circuit reads `enc`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import simulator
-from .blockenc import BlockEncoding, block_encode
+from .blockenc import BlockEncoding, _check_isometry, _Dilation, _factor, _write_dilation
 from .errors import ShapeError
 from .linalg import as_matrix, as_vector, check_unit_norm
+from .simulator import _check_normalized
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentedAffine:
     A_tilde: np.ndarray
     psi_tilde: np.ndarray
-    enc: BlockEncoding
+    dilation: _Dilation
+
+    @cached_property
+    def enc(self) -> BlockEncoding:
+        return self.dilation.encoding()
 
 
 def build_augmented(a, b, psi) -> AugmentedAffine:
@@ -42,29 +45,25 @@ def build_augmented(a, b, psi) -> AugmentedAffine:
         raise ShapeError(f"baseline needs a square matrix, got {m.shape}")
     if n < 2 or n & (n - 1):
         raise ShapeError(f"matrix dimension {n} is not a power of two >= 2")
-    bv = as_vector(b)
-    p = as_vector(psi)
+    bv, p = as_vector(b), as_vector(psi)
     if bv.shape[0] != n or p.shape[0] != n:
-        raise ShapeError(
-            f"translation/state lengths {bv.shape[0]}/{p.shape[0]} != matrix dimension {n}"
-        )
-    nrm = check_unit_norm(p, "psi")
+        raise ShapeError(f"translation/state lengths {bv.shape[0]}/{p.shape[0]} != matrix dimension {n}")
     at = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     at[:n, :n] = m
     at[:n, 2 * n - 1] = bv
     at[n:, n:] = np.eye(n)
     pt = np.zeros(2 * n, dtype=np.complex128)
-    pt[:n] = p / nrm
-    pt[2 * n - 1] = 1.0
+    pt[:n], pt[-1] = p / check_unit_norm(p, "psi"), 1.0
     pt /= np.sqrt(2.0)
-    return AugmentedAffine(at, pt, block_encode(at))
+    f = _factor(at)
+    _check_isometry(f, "baseline")
+    return AugmentedAffine(at, pt, f)
 
 
 def run_augmented(aug: AugmentedAffine) -> np.ndarray:
-    """Prepare psi~, apply the dilation of A~, de-scale: returns A psi + B."""
-    n1 = aug.psi_tilde.shape[0].bit_length() - 1  # n + 1 qubits
-    st = simulator.init_amplitudes(aug.psi_tilde)
-    st = simulator.prepend_ancilla(st)
-    st = simulator._apply_gate(st, aug.enc.U, tuple(range(n1, -1, -1)), (), ())
-    half = aug.psi_tilde.shape[0] // 2
-    return np.sqrt(2.0) * aug.enc.alpha * st.amplitudes[:half]
+    """A psi + B: the checked ancilla-0 columns of A~'s dilation on psi~."""
+    f, x = aug.dilation, aug.psi_tilde[None, :]
+    phi = np.empty((2, x.shape[1]), dtype=np.complex128)
+    _write_dilation(x, f.a, f.r, phi[:1], phi[1:])
+    _check_normalized(phi)
+    return np.sqrt(2.0) * f.alpha * phi[0, : x.shape[1] // 2]

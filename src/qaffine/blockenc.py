@@ -13,9 +13,10 @@ Otherwise the dilation of a direct sum is the direct sum of the dilations,
 so an entry alone in its row and column is split off as its own singular
 pair and the one SVD runs on the coupled core left over: none for a phased
 permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  The
-abstract pipeline stage takes only the ancilla-0 columns from it; the
-physical stage's witness and `block_encode` (baseline, synthesis) build U
-from it, checked once, in `BlockEncoding`.
+abstract pipeline stage and the baseline take only the ancilla-0 columns
+[A; R] from it (`_check_isometry`, `_write_dilation`); the physical stage's
+witness, `block_encode` and the baseline's `enc` (synthesis) build U from
+it, checked once, in `BlockEncoding`.
 
 A direct sum is unitary exactly when each summand is, so both checks of a
 dilation, U's unitarity and the isometry [A; R], follow the same split
@@ -32,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EncodingError, ShapeError
-from .linalg import as_matrix, gram_deviation, is_unitary
+from .linalg import as_matrix, gram_deviation, is_unitary, max_abs
 
 UNITARY_TOL = 1e-10
 # An SVD returns a singular value that is 1 in exact arithmetic a few ulp off
@@ -208,6 +209,32 @@ def _block_deviation(top, bottom, rows, cols, c: int, wide: bool) -> float | Non
         return None
     dev = max(gram_deviation(*b) if b[0].size else 0.0 for b in (core, pairs))
     return dev if np.isfinite(dev) else None
+
+
+def _check_isometry(f: _Dilation, label: str) -> None:
+    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I.  Checked
+    elementwise for a diagonal A, over the core's Gram and one 2 x 1 block
+    per pair when A splits (`_block_deviation`), else, or when an entry
+    outside those blocks is nonzero, by the two dense Grams."""
+    if f.a.ndim == 1:
+        dev = max_abs(np.abs(f.a) ** 2 + f.r**2 - 1.0)
+    else:
+        dev = None if f.blocks is None else _block_deviation(f.a, f.r, *f.blocks, wide=False)
+        if dev is None:
+            dev = gram_deviation(f.a, f.r)
+    if dev > UNITARY_TOL:
+        raise EncodingError(f"{label}: dilation columns deviate from an isometry by {dev:.3e}")
+
+
+def _write_dilation(x: np.ndarray, a: np.ndarray, r: np.ndarray, a_out: np.ndarray, r_out: np.ndarray) -> None:
+    """Write X A^T into a_out and X R^T into r_out, where X holds the register
+    as rows over the base index (a diagonal A comes as its diagonal)."""
+    if a.ndim == 1:
+        np.multiply(x, a, out=a_out)
+        np.multiply(x, r, out=r_out)
+    else:
+        np.matmul(x, a.T, out=a_out)
+        np.matmul(x, r.T, out=r_out)
 
 
 def block_encode(a) -> BlockEncoding:

@@ -42,18 +42,17 @@ import numpy as np
 
 from . import simulator
 from .addsub import _fold, hadamard_addsub_inplace
-from .blockenc import UNITARY_TOL, _block_deviation, _Dilation, _factor
+from .blockenc import _check_isometry, _Dilation, _factor, _write_dilation
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
     ContractionError,
-    EncodingError,
     InvalidInputError,
     MissingWitnessError,
     NormalizationError,
     ShapeError,
 )
-from .linalg import UNIT_NORM_TOL, as_matrix, as_vector, check_unit_norm, gram_deviation, max_abs, state_preparation
+from .linalg import UNIT_NORM_TOL, as_matrix, as_vector, check_unit_norm, state_preparation
 from .simulator import MAX_QUBITS, QuantumState, _check_normalized
 
 CONTRACTION_TOL = 1e-10
@@ -202,41 +201,13 @@ def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = No
             f"(dilation would contract amplitudes by 1/{f.alpha:.6g})"
         )
     if witness is None:
-        _check_isometry(f, step_index)
+        _check_isometry(f, f"step {step_index}")
     else:
         n = m.shape[0].bit_length() - 1  # A is 2^n x 2^n
         targets = (witness.qubit_count,) + tuple(range(n - 1, -1, -1))
         witness.gates.append(block(f.encoding(), targets))
         witness.qubit_count += 1
     return f
-
-
-def _check_isometry(f: _Dilation, step_index: int) -> None:
-    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I.  Checked
-    elementwise for a diagonal A, over the core's Gram and one 2 x 1 block
-    per pair when A splits (`blockenc._block_deviation`), else, or when an
-    entry outside those blocks is nonzero, by the two dense Grams."""
-    if f.a.ndim == 1:
-        dev = max_abs(np.abs(f.a) ** 2 + f.r**2 - 1.0)
-    else:
-        dev = None if f.blocks is None else _block_deviation(f.a, f.r, *f.blocks, wide=False)
-        if dev is None:
-            dev = gram_deviation(f.a, f.r)
-    if dev > UNITARY_TOL:
-        raise EncodingError(
-            f"step {step_index}: dilation columns deviate from an isometry by {dev:.3e}"
-        )
-
-
-def _write_dilation(x: np.ndarray, a: np.ndarray, r: np.ndarray, a_out: np.ndarray, r_out: np.ndarray) -> None:
-    """Write X A^T into a_out and X R^T into r_out, where X holds the register
-    as rows over the base index (a diagonal A comes as its diagonal)."""
-    if a.ndim == 1:
-        np.multiply(x, a, out=a_out)
-        np.multiply(x, r, out=r_out)
-    else:
-        np.matmul(x, a.T, out=a_out)
-        np.matmul(x, r.T, out=r_out)
 
 
 def _stage(buf: np.ndarray, d: int, a: np.ndarray, r: np.ndarray, head: np.ndarray, residual: float) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import count_calls, random_contraction, random_state_vector
@@ -8,8 +10,11 @@ from test_stage_properties import MATRICES, off_by
 from qaffine import (
     AffineSequence,
     AffineStep,
+    BlockEncoding,
+    EncodingError,
     NormalizationError,
     ShapeError,
+    block_encode,
     build_augmented,
     classical_affine_compose,
     extract_result,
@@ -17,6 +22,7 @@ from qaffine import (
     run_augmented,
     run_pipeline,
 )
+from qaffine.blockenc import _Dilation
 
 
 def test_augmented_matrix_layout():
@@ -132,17 +138,67 @@ def test_build_augmented_factors_only_the_coupled_core(monkeypatch):
 
 
 def test_build_augmented_checks_only_the_core_gram(monkeypatch):
-    # U is 4N x 4N, but the Gram formed is the core's: 2(N + 1) wide, plus
-    # one 2 x 2 Gram per singular pair
+    # the check is of the ancilla-0 columns [A~/alpha ; R~]: the Gram formed
+    # is the core's, N + 1 wide, plus one 2 x 1 block per singular pair
     grams = count_calls(monkeypatch, "gram_deviation")
     dense = count_calls(monkeypatch, "is_unitary")
     rng = np.random.default_rng(76)
     dim = 8
     build_augmented(random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim))
     widths = sorted(np.shape(part)[-1] for args in grams for part in args)
-    assert widths[-1] == 2 * (dim + 1)
-    assert widths.count(2) == 2
+    assert widths == [1, 1, dim + 1, dim + 1]
     assert dense == []
+
+
+def test_broken_factorization_raises_encoding_error(monkeypatch):
+    # a factorization whose residual block R~ is zeroed fails the isometry
+    # check in build_augmented, before any U exists
+    import qaffine.baseline
+
+    factor = qaffine.baseline._factor
+
+    def broken(m):
+        f = factor(m)
+        return f._replace(r=np.zeros_like(f.r))
+
+    monkeypatch.setattr(qaffine.baseline, "_factor", broken)
+    rng = np.random.default_rng(78)
+    for a, b in (
+        (0.5 * np.eye(2), [0.6, 0.8]),
+        (0.5 * np.eye(2), [0.0, 0.0]),
+        (random_contraction(rng, 4), random_state_vector(rng, 4)),
+    ):
+        with pytest.raises(EncodingError):
+            build_augmented(a, b, np.eye(len(b))[0])
+
+
+def test_run_augmented_builds_no_4n_dilation(monkeypatch):
+    # build and run apply only the checked columns [A~/alpha ; R~]: no U, no
+    # unitarity check, and a traced peak below one 4N x 4N array next to
+    # A~, which a route holding U cannot stay under.  U is built once, on
+    # the first read of enc, bit-identical to block_encode's
+    rng = np.random.default_rng(77)
+    dim = 64
+    a, b, psi = random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim)
+    encodings, checked = [], []
+    encoding, post_init = _Dilation.encoding, BlockEncoding.__post_init__
+    monkeypatch.setattr(_Dilation, "encoding", lambda f: encodings.append(None) or encoding(f))
+    monkeypatch.setattr(BlockEncoding, "__post_init__", lambda e: checked.append(None) or post_init(e))
+    dense = count_calls(monkeypatch, "is_unitary")
+    tracemalloc.start()
+    try:
+        aug = build_augmented(a, b, psi)
+        got = run_augmented(aug)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert encodings == checked == dense == []
+    assert peak < 16 * (4 * dim) ** 2 + aug.A_tilde.nbytes
+    assert np.max(np.abs(got - (a @ psi + b))) <= 1e-9
+    enc = aug.enc
+    assert aug.enc is enc
+    assert len(encodings) == len(checked) == 1
+    assert np.array_equal(enc.U, block_encode(aug.A_tilde).U)
 
 
 @given(

@@ -14,8 +14,7 @@ from qaffine import (
     build_augmented,
     is_unitary,
 )
-from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _block_deviation, _factor
-from qaffine.pipeline import _check_isometry
+from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _block_deviation, _check_isometry, _factor
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -275,7 +274,7 @@ def test_block_check_decides_as_the_dense_check(kind, n, scale, stretch, seed):
                 if wide:
                     BlockEncoding(mp, f.alpha, dim, f.blocks)
                 else:
-                    _check_isometry(f._replace(a=mp[:dim], r=mp[dim:]), 1)
+                    _check_isometry(f._replace(a=mp[:dim], r=mp[dim:]), "step 1")
             except EncodingError:
                 assert refused
             else:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from conftest import random_contraction, random_state_vector
 
-from qaffine import AffineSequence, AffineStep, SchemaError
+from qaffine import AffineSequence, AffineStep, SchemaError, block_encode, build_augmented
+from qaffine.blockenc import _Dilation
 from qaffine.cli import main, parse_problem, serialize_problem
 
 
@@ -209,6 +210,26 @@ def test_baseline_runs_and_verifies(tmp_path):
         bundle = json.load(fh)
     assert bundle["metadata"]["mode"] == "augmented"
     assert bundle["metadata"]["alpha"] >= 1.0
+
+
+def test_baseline_summary_and_alpha(tmp_path, capsys, monkeypatch):
+    # the summary names the dilation's dimension 4N and the metadata its
+    # alpha, both read without building the 4N x 4N U
+    encodings = []
+    encoding = _Dilation.encoding
+    monkeypatch.setattr(_Dilation, "encoding", lambda f: encodings.append(None) or encoding(f))
+    problem = simple_problem(tmp_path, n=2)
+    out = tmp_path / "out"
+    assert main(["baseline", problem, "--out-dir", str(out)]) == 0
+    assert "augmented dilation dimension: 16\n" in capsys.readouterr().out
+    assert encodings == []
+    seq, _ = parse_problem(problem)
+    step = seq.steps[0]
+    enc = block_encode(build_augmented(step.A, step.B, seq.psi0).A_tilde)
+    assert enc.U.shape == (16, 16)
+    with open(out / "result.json") as fh:
+        bundle = json.load(fh)
+    assert bundle["metadata"]["alpha"] == bundle["scale"] == enc.alpha > 1.0
 
 
 def test_translation_off_unit_norm_verifies(tmp_path):
