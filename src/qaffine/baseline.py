@@ -9,7 +9,8 @@ The map x -> A x + B embeds into one linear map on a doubled register:
 last amplitude).  One dilation of A~ then computes A psi + B in a single
 4N x 4N unitary, versus 2N x 2N per sequential stage: an independent
 cross-check and the cost baseline for gate counting.  Factoring A~ takes one
-SVD of the N + 1 coordinates that A and B couple (`blockenc._factor`).  Only
+eigendecomposition of the Gram of the N + 1 coordinates that A and B couple
+(`blockenc._factor`).  Only
 the ancilla-0 columns [A~/alpha ; R~] act, as in an abstract stage: they
 alone are checked and applied; U is built only when a circuit reads `enc`.
 """

@@ -11,8 +11,12 @@ ancilla-0 block; alpha is 1 for a contraction, else sigma_max.
 Every route factors A once, in `_factor`.  A diagonal A takes O(N).
 Otherwise the dilation of a direct sum is the direct sum of the dilations,
 so an entry alone in its row and column is split off as its own singular
-pair and the one SVD runs on the coupled core left over: none for a phased
-permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  The
+pair and the one factorization runs on the coupled core left over: none
+for a phased permutation, N + 1 rows and columns for the baseline's
+2N x 2N A~.  It is one eigendecomposition of the core's Gram A^dag A = V
+diag(s^2) V^dag, since the dilation needs no left singular vectors:
+R = V diag(sqrt(1 - s^2)) V^dag, and the top-right block is
+I - A (I + R)^-1 A^dag (Gilyen, Su, Low, Wiebe, STOC 2019).  The
 abstract pipeline stage and the baseline take only the ancilla-0 columns
 [A; R] from it (`_check_isometry`, `_write_dilation`); the physical stage's
 witness, `block_encode` and the baseline's `enc` (synthesis) build U from
@@ -36,11 +40,12 @@ from .errors import EncodingError, ShapeError
 from .linalg import as_matrix, gram_deviation, is_unitary, max_abs
 
 UNITARY_TOL = 1e-10
-# An SVD returns a singular value that is 1 in exact arithmetic a few ulp off
-# 1 (within 4 ulp for dense unitaries up to N = 1024), where sqrt(1 - s^2)
-# moves ~1.5e-8 per ulp: rounding would decide the residual blocks.  So s
-# within ONE_TOL of 1 reads as 1 (r = 0), and sigma_max within ONE_TOL above 1
-# as a contraction; A^dag A + R^dag R - I moves by at most 2 * ONE_TOL.
+# The square root of an eigenvalue of the Gram reads a singular value that is
+# 1 in exact arithmetic a few ulp off 1 (within 2.9e-15, 13 ulp, for dense
+# unitaries up to N = 1024), where sqrt(1 - s^2) moves ~1.5e-8 per ulp:
+# rounding would decide the residual blocks.  So s within ONE_TOL of 1 reads
+# as 1 (r = 0), and sigma_max within ONE_TOL above 1 as a contraction;
+# A^dag A + R^dag R - I moves by at most 2 * ONE_TOL.
 ONE_TOL = 1e-13
 
 
@@ -73,17 +78,17 @@ class BlockEncoding:
 class _Dilation(NamedTuple):
     """The dilation of A/alpha: ancilla-0 columns `a` = A/alpha and
     `r` = sqrt(I - A^dag A / alpha^2).  The top-right block
-    sqrt(I - A A^dag / alpha^2) is built only by `encoding`, from the core's
-    left singular vectors `w`, the residuals `rs` and the row order `rows`
-    (see `_residual`).  For a diagonal A (w None) `a` and `r` = `rs` hold
-    the diagonals.  `rows`, `cols` and the core size `c` are A's direct-sum
-    partition (see `_split`; every index is a pair of a diagonal A), None
-    when the core is all of A."""
+    sqrt(I - A A^dag / alpha^2) is built only by `encoding`, from `a`, the
+    core's right singular vectors `v` and the residuals `rs`, placed by the
+    row order `rows` (see `_residual`).  For a diagonal A (v None) `a` and
+    `r` = `rs` hold the diagonals.  `rows`, `cols` and the core size `c`
+    are A's direct-sum partition (see `_split`; every index is a pair of a
+    diagonal A), None when the core is all of A."""
 
     a: np.ndarray
     r: np.ndarray
     alpha: float
-    w: np.ndarray | None
+    v: np.ndarray | None
     rs: np.ndarray
     rows: np.ndarray | None
     cols: np.ndarray | None
@@ -95,12 +100,16 @@ class _Dilation(NamedTuple):
 
     def encoding(self) -> BlockEncoding:
         """The full 2N x 2N dilation, checked once, block by block."""
-        if self.w is None:
+        if self.v is None:
             a = np.diag(self.a)
             r = top_right = np.diag(self.r)
         else:
-            a, r = self.a, self.r
-            top_right = _residual(self.w, self.w.conj().T, self.rs, self.rows)
+            a, r, c, rs = self.a, self.r, self.c, self.rs[: self.c]
+            t = np.zeros((c, c))  # exactly, for a unitary core
+            if rs.any():  # W diag(rs) W^dag = I - Y diag(1 / (1 + rs)) Y^dag, Y = A V
+                y = (a if self.rows is None else a[np.ix_(self.rows[:c], self.cols[:c])]) @ self.v
+                t = np.eye(c) - (y / (1.0 + rs)) @ y.conj().T
+            top_right = _residual(t, self.rs, self.rows)
         return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha, a.shape[0], self.blocks)
 
 
@@ -125,11 +134,10 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return rows, cols, m.shape[0] - pair_rows.shape[0]
 
 
-def _residual(left: np.ndarray, right: np.ndarray, rs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """left diag(rs) right over the core coordinates order[:c] and rs itself
-    on the paired ones order[c:]; order None means the core is everything."""
-    c = left.shape[0]
-    core = (left * rs[:c]) @ right
+def _residual(core: np.ndarray, rs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """`core` over the core coordinates order[:c] and rs itself on the paired
+    ones order[c:]; order None means the core is everything."""
+    c = core.shape[0]
     if order is None:
         return core
     out = np.zeros((order.shape[0], order.shape[0]), dtype=np.complex128)
@@ -145,12 +153,13 @@ def _factor(m: np.ndarray) -> _Dilation:
 
     A diagonal A is its own SVD.  Otherwise A is, up to row and column
     orders, the direct sum of a core and its pairs (`_split`), and so is its
-    dilation: the one SVD runs on the core only, and none runs when the core
-    is empty (a phased permutation) or all zero.  A matrix with no zero
-    entry has no pairs and is factored whole."""
+    dilation: the one eigendecomposition, of the core's Gram, runs on the
+    core only, and none runs when the core is empty (a phased permutation)
+    or all zero; s = sqrt(lambda), a negative lambda of rounding read as 0.
+    A matrix with no zero entry has no pairs and is factored whole."""
     diagonal = np.diagonal(m)
     nonzero = np.count_nonzero(m)
-    w = vh = rows = cols = None
+    v = rows = cols = None
     c = m.shape[0]
     if nonzero == np.count_nonzero(diagonal):
         a, s = diagonal, np.abs(diagonal)
@@ -164,10 +173,10 @@ def _factor(m: np.ndarray) -> _Dilation:
             if nonzero == m.shape[0] - c:  # an all-zero core: its zero rows
                 c = 0  # and columns pair off in order, as pairs of value 0
             core, paired = m[np.ix_(rows[:c], cols[:c])], np.abs(m[rows[c:], cols[c:]])
+        v, s = core, np.zeros(0)
         if core.size:
-            w, s, vh = np.linalg.svd(core)
-        else:
-            w, s, vh = core, np.zeros(0), core
+            lam, v = np.linalg.eigh(core.conj().T @ core)
+            s = np.sqrt(np.maximum(lam, 0.0))
         s = np.concatenate([s, paired])
     sigma = float(s.max())
     alpha = 1.0 if sigma <= 1.0 + ONE_TOL else sigma
@@ -175,8 +184,8 @@ def _factor(m: np.ndarray) -> _Dilation:
         a, s = a / alpha, s / alpha
     s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
     rs = np.sqrt(1.0 - s**2)
-    r = rs if vh is None else _residual(vh.conj().T, vh, rs, cols)
-    return _Dilation(a, r, alpha, w, rs, rows, cols, c)
+    r = rs if v is None else _residual((v * rs[:c]) @ v.conj().T, rs, cols)
+    return _Dilation(a, r, alpha, v, rs, rows, cols, c)
 
 
 def _is_order(o: np.ndarray, n: int) -> bool:

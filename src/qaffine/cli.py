@@ -10,6 +10,7 @@ QAFFINE_SEED environment variable supplies the default sampling seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -317,6 +318,7 @@ def cmd_demo_signal(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qaffine",

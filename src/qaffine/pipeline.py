@@ -17,8 +17,8 @@ all add/sub ancillas 0 carries (result)_i / 2^k.
 The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
 R = sqrt(I - A^dag A), from the one factorization of A that every route
-shares (`blockenc._factor`: one SVD of the coupled core, or O(N) for a
-diagonal A).  Abstract mode never builds the 2N x 2N unitary; physical mode
+shares (`blockenc._factor`: one eigendecomposition of the coupled core's
+Gram, or O(N) for a diagonal A).  Abstract mode never builds the 2N x 2N unitary; physical mode
 builds it from the same factorization for its gate witness, so witness and
 state apply one pair of blocks.
 

@@ -120,17 +120,18 @@ def test_run_augmented_checks_no_unitarity(monkeypatch):
 
 
 def test_build_augmented_factors_only_the_coupled_core(monkeypatch):
-    # the N - 1 identity coordinates of A~ are singular pairs: one SVD, of
-    # the N + 1 rows and columns that A and B couple
+    # the N - 1 identity coordinates of A~ are singular pairs: one
+    # eigendecomposition, of the Gram of the N + 1 rows and columns that A
+    # and B couple
     rng = np.random.default_rng(75)
     shapes = []
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
-    def recorded_svd(m, *args, **kwargs):
+    def recorded_eigh(m, *args, **kwargs):
         shapes.append(m.shape)
-        return svd(m, *args, **kwargs)
+        return eigh(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     for dim in (2, 8, 32):
         shapes.clear()
         build_augmented(random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim))

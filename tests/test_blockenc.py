@@ -15,6 +15,7 @@ from qaffine import (
     is_unitary,
 )
 from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _block_deviation, _check_isometry, _factor
+from qaffine.linalg import gram_deviation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -39,7 +40,14 @@ def test_alpha_inflates_for_expansive_matrices():
     rng = np.random.default_rng(45)
     b = 3.0 * random_unitary(rng, 4) @ np.diag([1.0, 0.5, 0.2, 0.1])
     enc = block_encode(b)
-    assert enc.alpha == np.linalg.svd(b)[1][0]
+    # sigma_max from the Gram's eigendecomposition, a few ulp off the SVD's
+    sigma = np.linalg.svd(b)[1][0]
+    assert abs(enc.alpha - sigma) <= 2 * b.shape[0] * np.spacing(sigma)
+    # the factorization's own s / alpha: 1 exactly at sigma_max (rs = 0),
+    # never above 1 (rs = sqrt(1 - s^2) would be NaN)
+    f = _factor(b)
+    assert f.alpha == enc.alpha
+    assert not np.isnan(f.rs).any() and f.rs.min() == 0.0
     assert np.max(np.abs(enc.U[:4, :4] * enc.alpha - b)) <= 1e-9
 
 
@@ -103,25 +111,25 @@ def test_alpha_guard_handles_norm_boundary():
 
 
 def test_block_encode_factors_once(monkeypatch):
-    svd_calls, norm_calls = [], []
-    svd, norm = np.linalg.svd, np.linalg.norm
+    eigh_shapes, norm_calls = [], []
+    eigh, norm = np.linalg.eigh, np.linalg.norm
 
-    def counted_svd(*args, **kwargs):
-        svd_calls.append(None)
-        return svd(*args, **kwargs)
+    def recorded_eigh(m, *args, **kwargs):
+        eigh_shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
 
     def counted_norm(*args, **kwargs):
         norm_calls.append(None)
         return norm(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
     rng = np.random.default_rng(44)
     for a in (random_contraction(rng, 4), 3.0 * random_unitary(rng, 4)):
-        svd_calls.clear()
+        eigh_shapes.clear()
         norm_calls.clear()
         block_encode(a)
-        assert len(svd_calls) == 1
+        assert eigh_shapes == [(4, 4)]
         assert norm_calls == []
 
 
@@ -201,6 +209,46 @@ def test_factor_matches_whole_matrix_svd(kind, n, scale, seed):
     # two SVDs of different sizes each read sigma_max O(N) ulp off: up to
     # 9 ulp each for a 32 x 32 A~, against a 40-digit reference
     assert abs(enc.alpha - want_alpha) <= 2 * a.shape[0] * np.spacing(want_alpha)
+
+
+# --- the Gram eigendecomposition at its numerical edges --------------------
+
+
+def edge_spectrum(rng, count, unit_top):
+    """Singular values where the Gram route is weakest: 1 - 10^u just outside
+    ONE_TOL (u in [-13, -8]), tiny (<= 1e-9) or exactly 0; the first is the
+    largest, 1 or just below it."""
+    near_one = 1.0 - 10.0 ** rng.uniform(-13, -8, count)
+    kind = rng.integers(3, size=count)
+    s = np.where(kind == 0, near_one, np.where(kind == 1, 10.0 ** rng.uniform(-17, -9, count), 0.0))
+    s[0] = 1.0 if unit_top else near_one[0]
+    return s
+
+
+@given(
+    n=st.integers(2, 64),
+    pairs=st.integers(0, 4),
+    unit_top=st.booleans(),
+    scale=st.sampled_from([1.0, 2.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_route_at_singular_value_edges(n, pairs, unit_top, scale, seed):
+    # a dense core W diag(s) V^dag beside singular pairs of the same kinds
+    # (a pair of value 0 is a zero row and column in the core), permuted;
+    # alpha is 1, or above 1 for the scaled copies
+    rng = np.random.default_rng(seed)
+    s = edge_spectrum(rng, n, unit_top)
+    c = max(n - pairs, 2)
+    a = np.diag(s * np.exp(2j * np.pi * rng.uniform(size=n)))
+    a[:c, :c] = random_unitary(rng, c) @ np.diag(s[:c]) @ random_unitary(rng, c).conj().T
+    a = scale * a[rng.permutation(n)][:, rng.permutation(n)]
+    f = _factor(a)
+    assert (f.alpha == 1.0) == (scale == 1.0)
+    _check_isometry(f, "step 1")
+    assert gram_deviation(f.a, f.r) <= 1e-12
+    enc = f.encoding()
+    assert gram_deviation(enc.U) <= 1e-12
+    assert np.array_equal(enc.U[:n, :n], a / f.alpha)
 
 
 # --- the block-by-block check against the dense check ---------------------

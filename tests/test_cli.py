@@ -7,7 +7,7 @@ from conftest import random_contraction, random_state_vector
 
 from qaffine import AffineSequence, AffineStep, SchemaError, block_encode, build_augmented
 from qaffine.blockenc import _Dilation
-from qaffine.cli import main, parse_problem, serialize_problem
+from qaffine.cli import _build_parser, main, parse_problem, serialize_problem
 
 
 def write_problem(path, payload):
@@ -293,6 +293,43 @@ def test_gates_compare_writes_counts(tmp_path, capsys):
 def test_gates_compare_requires_n2_single_step(tmp_path):
     problem = simple_problem(tmp_path, n=1)
     assert main(["gates", "compare", problem, "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_cached_parser_gives_what_fresh_parsers_give(tmp_path, capsys):
+    # one parser serves every main() call of a process; interleaved runs,
+    # baselines and gate comparisons, passing and failing, write the same
+    # files, print the same text and exit with the same codes as runs that
+    # each build a new parser
+    simple_problem(tmp_path, n=2)
+    one_step = str((tmp_path / "problem.json").rename(tmp_path / "one_step.json"))
+    two_step = simple_problem(tmp_path, n=2, k=2)
+    calls = [
+        ["run", one_step, "--verify"],
+        ["baseline", one_step, "--verify"],
+        ["gates", "compare", one_step],
+        ["run", two_step, "--mode", "physical"],
+        ["baseline", two_step],
+        ["gates", "compare", two_step],
+    ]
+
+    def outcomes(label, fresh):
+        seen = []
+        for i, argv in enumerate(calls * 2):
+            if fresh:
+                _build_parser.cache_clear()
+            out = tmp_path / label / str(i)
+            code = main([*argv, "--out-dir", str(out)])
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+            seen.append((code, files, capsys.readouterr()))
+        return seen
+
+    reused = outcomes("reused", fresh=False)
+    assert _build_parser() is _build_parser()
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 2] * 2
+    moved = str(tmp_path / "reused"), str(tmp_path / "rebuilt")
+    assert outcomes("rebuilt", fresh=True) == [
+        (code, files, (out.replace(*moved), err)) for code, files, (out, err) in reused
+    ]
 
 
 # --- demos -------------------------------------------------------------------------

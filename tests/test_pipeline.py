@@ -256,24 +256,25 @@ def test_physical_checks_no_matrix_wider_than_the_dilation(monkeypatch):
 
 
 def test_physical_stage_factors_and_checks_its_dilation_once(monkeypatch):
-    # one SVD and one unitarity check of the 2N x 2N dilation per dense step;
-    # the checked BlockEncoding covers the isometry, so that check is skipped
-    svd_calls = []
-    svd = np.linalg.svd
+    # one eigendecomposition, of the N x N Gram, and one unitarity check of
+    # the 2N x 2N dilation per dense step; the checked BlockEncoding covers
+    # the isometry, so that check is skipped
+    eigh_shapes = []
+    eigh = np.linalg.eigh
 
-    def counted_svd(*args, **kwargs):
-        svd_calls.append(None)
-        return svd(*args, **kwargs)
+    def recorded_eigh(m, *args, **kwargs):
+        eigh_shapes.append(m.shape)
+        return eigh(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     checks = count_calls(monkeypatch, "is_unitary")
     isometry = count_calls(monkeypatch, "_check_isometry")
     rng = np.random.default_rng(79)
     for n, k in ((1, 3), (2, 2), (3, 1)):
-        svd_calls.clear()
+        eigh_shapes.clear()
         checks.clear()
         run_pipeline(random_sequence(rng, n, k), mode="physical")
-        assert len(svd_calls) == k
+        assert eigh_shapes == [(1 << n, 1 << n)] * k
         assert sum(np.shape(args[0])[0] == 2 << n for args in checks) == k
         assert isometry == []
 
@@ -419,9 +420,10 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
     b = random_state_vector(rng, 64)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("diagonal step ran an SVD")
+        raise AssertionError("diagonal step ran a factorization")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     for a in (np.diag(d), -0.5 * np.eye(64), np.zeros((64, 64)), perm, holed):
         st = apply_affine_step(init_amplitudes(psi), a, b, 1, 6)
         assert np.max(np.abs(2 * st.amplitudes[:64] - (a @ psi + b))) <= 1e-12

@@ -1,6 +1,7 @@
 """Every name the package exports has a user besides its own unit tests:
 another package module, or the acceptance criteria.  Only `synthesis`
-imports scipy, and only a use of one of its names loads it."""
+imports scipy, and only a use of one of its names loads it.  One call site
+factors every dilation."""
 
 import ast
 import os
@@ -67,6 +68,30 @@ def test_only_synthesis_imports_scipy():
     # numpy's; a numeric hot path that moved onto it ran slower, not faster
     importers = {module.stem for module in PACKAGE.glob("*.py") if "scipy" in _imported_top_level(module)}
     assert importers == {"synthesis"}
+
+
+def _calls_named(names: set[str]) -> list[tuple[str, str | None, str]]:
+    """(module, enclosing function, callee) of every call whose callee's last
+    name is in `names`, whatever module it comes from."""
+    sites = []
+    for module in sorted(PACKAGE.glob("*.py")):
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in names:
+                sites.append((module.stem, where, ast.unparse(node.func)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(module.read_text()), None)
+    return sites
+
+
+def test_one_factorization_site():
+    # every route (abstract and physical stages, the baseline, block_encode)
+    # takes its dilation from `blockenc._factor`'s one eigendecomposition
+    assert _calls_named({"eigh", "svd"}) == [("blockenc", "_factor", "np.linalg.eigh")]
 
 
 def test_importing_the_package_and_cli_loads_no_scipy_linalg():
