@@ -155,7 +155,7 @@ def hadamard_addsub_inplace(
             )
         rebuilt = run_gatelist(circuit_so_far)
         dev = max_abs(rebuilt.amplitudes - state.amplitudes)
-        if dev > WITNESS_TOL:
+        if not dev <= WITNESS_TOL:
             raise PreconditionError(
                 f"witness does not reconstruct the state (max deviation {dev:.3e})"
             )

@@ -198,6 +198,8 @@ def random_two_tone(length: int, seed: int) -> np.ndarray:
     """Random distinct tones below Nyquist with random amplitudes."""
     if length < 8:
         raise ShapeError(f"need at least 8 samples for two tones, got {length}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     f1, f2 = rng.choice(np.arange(1, length // 2), size=2, replace=False)
     a1, a2 = rng.uniform(0.5, 1.5, size=2)

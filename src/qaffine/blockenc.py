@@ -20,14 +20,13 @@ I - A (I + R)^-1 A^dag (Gilyen, Su, Low, Wiebe, STOC 2019).  The
 abstract pipeline stage and the baseline take only the ancilla-0 columns
 [A; R] from it (`_check_isometry`, `_write_dilation`); the physical stage's
 witness, `block_encode` and the baseline's `enc` (synthesis) build U from
-it, checked once, in `BlockEncoding`.
+it, checked whole, once, in `BlockEncoding`.
 
-A direct sum is unitary exactly when each summand is, so both checks of a
-dilation, U's unitarity and the isometry [A; R], follow the same split
-(`_block_deviation`): after one count shows that every entry outside the
-blocks is zero, they form the Gram of the core block only and check the
-pairs' 2 x 2 (or 2 x 1) blocks in O(N).  A dilation with no pairs, or any
-nonzero outside the blocks, is checked whole."""
+A direct sum is an isometry exactly when each summand is, so the check of
+[A; R] follows the same split (`_block_deviation`): after one count shows
+that every entry outside the blocks is zero, it forms the Gram of the core
+block only and checks the pairs' 2 x 1 blocks in O(N).  [A; R] with no
+pairs, or with any nonzero outside the blocks, is checked whole."""
 
 from __future__ import annotations
 
@@ -51,28 +50,26 @@ ONE_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
-    """A dilation U of A/alpha on a block of dimension block_dim.  U is
-    checked for unitarity (within UNITARY_TOL) once, here, and kept as a
-    read-only copy, so gates can run it without checking it again.
-
-    `blocks` is A's direct-sum partition (rows, cols, c) from its
-    factorization (see `_split`), or None for one dense block.  Given one,
-    U is checked block by block (`_block_deviation`), which falls back to
-    the dense check whenever an entry outside the blocks is nonzero."""
+    """A dilation U of A/alpha, A being U's top-left block of dimension
+    block_dim, half U's side.  U is checked whole for unitarity (within
+    UNITARY_TOL) once, here, and kept as a read-only copy, so gates can run
+    it without checking it again."""
 
     U: np.ndarray
     alpha: float
-    block_dim: int
-    blocks: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def __post_init__(self):
-        u = np.array(self.U, dtype=np.complex128)  # is_unitary validates it
+        u = np.array(self.U, dtype=np.complex128)  # is_unitary checks it is square
+        if u.ndim != 2 or u.shape[0] % 2:
+            raise ShapeError(f"a dilation is a matrix of even side, got shape {u.shape}")
+        if not (np.isfinite(u).all() and is_unitary(u, UNITARY_TOL)):  # a NaN is a failed dilation, not bad input
+            raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
         u.flags.writeable = False
         object.__setattr__(self, "U", u)
-        n = self.block_dim
-        dev = None if self.blocks is None else _block_deviation(u[:n], u[n:], *self.blocks, wide=True)
-        if not (is_unitary(u, UNITARY_TOL) if dev is None else dev <= UNITARY_TOL):
-            raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
+
+    @property
+    def block_dim(self) -> int:
+        return self.U.shape[0] // 2
 
 
 class _Dilation(NamedTuple):
@@ -94,12 +91,8 @@ class _Dilation(NamedTuple):
     cols: np.ndarray | None
     c: int
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, int] | None:
-        return None if self.rows is None else (self.rows, self.cols, self.c)
-
     def encoding(self) -> BlockEncoding:
-        """The full 2N x 2N dilation, checked once, block by block."""
+        """The full 2N x 2N dilation, checked once, whole."""
         if self.v is None:
             a = np.diag(self.a)
             r = top_right = np.diag(self.r)
@@ -110,7 +103,7 @@ class _Dilation(NamedTuple):
                 y = (a if self.rows is None else a[np.ix_(self.rows[:c], self.cols[:c])]) @ self.v
                 t = np.eye(c) - (y / (1.0 + rs)) @ y.conj().T
             top_right = _residual(t, self.rs, self.rows)
-        return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha, a.shape[0], self.blocks)
+        return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha)
 
 
 def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -188,36 +181,21 @@ def _factor(m: np.ndarray) -> _Dilation:
     return _Dilation(a, r, alpha, v, rs, rows, cols, c)
 
 
-def _is_order(o: np.ndarray, n: int) -> bool:
-    return o.shape == (n,) and o.dtype.kind in "iu" and np.array_equal(np.sort(o), np.arange(n))
-
-
-def _block_deviation(top, bottom, rows, cols, c: int, wide: bool) -> float | None:
-    """max |M^dag M - I| for M = [top; bottom] over the blocks of A's
-    direct-sum partition (rows, cols, c): M is [A; R], or U when `wide`.
-    top's rows follow A's rows and bottom's A's columns; M's columns follow
-    A's columns, then (U's right half) A's rows.  The core block, 2c rows
-    by c (or 2c) columns, is one Gram; the pairs' 2 x 1 (or 2 x 2) blocks
-    are checked together in O(N).  M^dag M is the direct sum of the blocks'
-    Grams when every entry outside them is zero.  None, for the dense check,
-    when one is not, when the partition is not a pair of orders of A's
-    indices, or when the deviation is not finite."""
-    rows, cols, n = np.asarray(rows), np.asarray(cols), top.shape[0]
-    width = 2 * n if wide else n
-    if not (_is_order(rows, n) and _is_order(cols, n) and 0 <= c <= n and top.shape == bottom.shape == (n, width)):
-        return None
-    core_cols, pair_cols = cols[:c], cols[c:, None]
-    if wide:
-        core_cols = np.concatenate([core_cols, n + rows[:c]])
-        pair_cols = np.column_stack([cols[c:], n + rows[c:]])
+def _block_deviation(top, bottom, rows, cols, c: int) -> float | None:
+    """max |M^dag M - I| for M = [top; bottom] = [A; R] over the blocks of
+    A's direct-sum partition (rows, cols, c) from `_factor`: top's rows
+    follow A's rows, bottom's rows and M's columns A's columns.  The core
+    block, 2c rows by c columns, is one Gram; the pairs' 2 x 1 blocks are
+    checked together in O(N).  M^dag M is the direct sum of the blocks'
+    Grams when every entry outside them is zero; None, for the dense check,
+    when one is not."""
     parts = ((top, rows), (bottom, cols))
-    core = [p[np.ix_(o[:c], core_cols)] for p, o in parts]
-    pairs = [p[o[c:, None, None], pair_cols[:, None, :]] for p, o in parts]
+    core = [p[np.ix_(o[:c], cols[:c])] for p, o in parts]
+    pairs = [p[o[c:, None, None], cols[c:, None, None]] for p, o in parts]
     inside = sum(np.count_nonzero(b) for b in core + pairs)
     if np.count_nonzero(top) + np.count_nonzero(bottom) != inside:
         return None
-    dev = max(gram_deviation(*b) if b[0].size else 0.0 for b in (core, pairs))
-    return dev if np.isfinite(dev) else None
+    return max_abs([gram_deviation(*b) for b in (core, pairs) if b[0].size])  # max_abs keeps a NaN
 
 
 def _check_isometry(f: _Dilation, label: str) -> None:
@@ -228,10 +206,10 @@ def _check_isometry(f: _Dilation, label: str) -> None:
     if f.a.ndim == 1:
         dev = max_abs(np.abs(f.a) ** 2 + f.r**2 - 1.0)
     else:
-        dev = None if f.blocks is None else _block_deviation(f.a, f.r, *f.blocks, wide=False)
+        dev = None if f.rows is None else _block_deviation(f.a, f.r, f.rows, f.cols, f.c)
         if dev is None:
             dev = gram_deviation(f.a, f.r)
-    if dev > UNITARY_TOL:
+    if not dev <= UNITARY_TOL:
         raise EncodingError(f"{label}: dilation columns deviate from an isometry by {dev:.3e}")
 
 

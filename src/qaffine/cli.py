@@ -125,23 +125,6 @@ def parse_problem(path: str | Path) -> tuple[AffineSequence, str]:
     return seq, mode
 
 
-def serialize_problem(seq: AffineSequence, mode: str = "abstract") -> dict:
-    """Inverse of parse_problem (round-trips to an identical sequence)."""
-    return {
-        "version": 1,
-        "n": seq.n,
-        "psi": [_pair(z) for z in seq.psi0],
-        "steps": [
-            {
-                "A": [[_pair(z) for z in row] for row in step.A],
-                "B": "zero" if step.B is None else [_pair(z) for z in step.B],
-            }
-            for step in seq.steps
-        ],
-        "mode": mode,
-    }
-
-
 def _default_seed(value) -> int:
     if value is not None:
         return int(value)
@@ -188,7 +171,7 @@ def _verify(args, seq: AffineSequence, values: np.ndarray) -> int:
         return 0
     dev = max_abs(values - classical_affine_compose(seq))
     print(f"max deviation vs classical reference: {dev:.3e}")
-    if dev > args.tolerance:
+    if not dev <= args.tolerance:
         print(
             f"verification failed: {dev:.3e} exceeds tolerance {args.tolerance:g}",
             file=sys.stderr,

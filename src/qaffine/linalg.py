@@ -43,7 +43,7 @@ def check_unit_norm(v, label: str) -> float:
     """Norm of an input vector that must be a unit vector; raises unless it
     lies within UNIT_NORM_TOL of 1."""
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+    if not abs(nrm - 1.0) <= UNIT_NORM_TOL:
         raise NormalizationError(f"{label} norm {nrm!r} not within {UNIT_NORM_TOL:g} of 1")
     return nrm
 
@@ -95,7 +95,7 @@ class Reflector:
         if not np.isfinite(self.p):
             raise InvalidInputError("reflector phase must be finite")
         dev = self.deviation()
-        if dev > UNITARY_ATOL:
+        if not dev <= UNITARY_ATOL:
             raise UnitarityError(f"reflector deviates from a unitary by {dev:.3e} > {UNITARY_ATOL:g}")
 
     @property

@@ -243,6 +243,8 @@ def apply_affine_step(
     dim = 1 << base_n
     if m.shape != (dim, dim):
         raise ShapeError(f"step matrix shape {m.shape} != base dimension 2^{base_n}")
+    if state.num_qubits < base_n:
+        raise ShapeError(f"register has {state.num_qubits} qubits, fewer than base_n = {base_n}")
     if mode == "physical" and witness is None:
         raise MissingWitnessError("physical mode requires a circuit witness")
     if state.num_qubits + 2 > MAX_QUBITS:

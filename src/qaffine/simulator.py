@@ -69,7 +69,7 @@ def _norm(amps: np.ndarray) -> float:
 def _check_normalized(amps: np.ndarray, scale: float = 1.0) -> None:
     """Raise unless scale * |amps| lies within NORM_ATOL of 1."""
     nrm = scale * _norm(amps)
-    if abs(nrm - 1.0) > NORM_ATOL:
+    if not abs(nrm - 1.0) <= NORM_ATOL:
         raise NormalizationError(f"state norm {nrm!r} drifted from 1 by more than {NORM_ATOL:g}")
 
 
@@ -195,13 +195,15 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     and the CDF is searched into them, so the work is one sort of the shots
     plus a search per bin, and the counts are differences of the search
     results.  The histogram equals a per-shot search of each draw."""
-    shots = int(shots)
+    shots, seed = int(shots), int(seed)
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     probs = np.abs(state.amplitudes) ** 2
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     draws = rng.random(shots)
     draws.sort()
     # a draw lands in bin i when cdf[i-1] <= draw < cdf[i], and in the last

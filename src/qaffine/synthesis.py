@@ -171,7 +171,7 @@ def _lowered(blocks: GateList, label: str) -> GateList:
     """Lower a block-level circuit; the result must reproduce its product."""
     out = lower(blocks)
     err = reconstruction_error(out, gatelist_matrix(blocks))
-    if err > AGREEMENT_TOL:
+    if not err <= AGREEMENT_TOL:
         raise QAffineError(f"{label} circuit lowering error {err:.3e} exceeds 1e-8")
     return out
 
@@ -197,6 +197,6 @@ def compare_methods(a, b, psi) -> tuple[GateCountReport, GateCountReport]:
     augl = _lowered(GateList(4, [prep, block(aug.enc, (3, 2, 1, 0))]), "augmented")
 
     diff = max_abs(extract_result(res) - run_augmented(aug))
-    if diff > AGREEMENT_TOL:
+    if not diff <= AGREEMENT_TOL:
         raise QAffineError(f"methods disagree by {diff:.3e} (tolerance 1e-8)")
     return count_gates(ours), count_gates(augl)

@@ -85,6 +85,14 @@ def embed_controlled_oracle(u: np.ndarray, targets, controls, values, q: int) ->
     return full
 
 
+def nan_at_largest(r: np.ndarray) -> np.ndarray:
+    """A copy of a residual block with a NaN at its largest entry, so inside
+    the direct-sum blocks of a factorization that splits."""
+    r = r.copy()
+    r.flat[np.argmax(np.abs(r))] = np.nan
+    return r
+
+
 def count_calls(monkeypatch, name: str) -> list:
     """Count calls of the package function `name`, wrapped under every
     qaffine module that holds it; the returned list grows by one per call,

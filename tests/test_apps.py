@@ -171,6 +171,8 @@ def test_random_two_tone_reproducible():
     assert np.array_equal(random_two_tone(32, 5), random_two_tone(32, 5))
     with pytest.raises(ShapeError):
         random_two_tone(4, 0)
+    with pytest.raises(InvalidInputError):
+        random_two_tone(32, -1)
 
 
 def test_identity_filter_returns_input():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import count_calls, random_contraction, random_state_vector
+from conftest import count_calls, nan_at_largest, random_contraction, random_state_vector
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES, off_by
@@ -152,25 +152,22 @@ def test_build_augmented_checks_only_the_core_gram(monkeypatch):
 
 
 def test_broken_factorization_raises_encoding_error(monkeypatch):
-    # a factorization whose residual block R~ is zeroed fails the isometry
-    # check in build_augmented, before any U exists
+    # a factorization whose residual block R~ is zeroed, or holds a NaN,
+    # fails the isometry check in build_augmented, before any U exists
     import qaffine.baseline
 
     factor = qaffine.baseline._factor
-
-    def broken(m):
-        f = factor(m)
-        return f._replace(r=np.zeros_like(f.r))
-
-    monkeypatch.setattr(qaffine.baseline, "_factor", broken)
     rng = np.random.default_rng(78)
-    for a, b in (
+    cases = (
         (0.5 * np.eye(2), [0.6, 0.8]),
         (0.5 * np.eye(2), [0.0, 0.0]),
         (random_contraction(rng, 4), random_state_vector(rng, 4)),
-    ):
-        with pytest.raises(EncodingError):
-            build_augmented(a, b, np.eye(len(b))[0])
+    )
+    for broken in (np.zeros_like, nan_at_largest):
+        monkeypatch.setattr(qaffine.baseline, "_factor", lambda m: (f := factor(m))._replace(r=broken(f.r)))
+        for a, b in cases:
+            with pytest.raises(EncodingError):
+                build_augmented(a, b, np.eye(len(b))[0])
 
 
 def test_run_augmented_builds_no_4n_dilation(monkeypatch):

@@ -135,12 +135,16 @@ def test_block_encode_factors_once(monkeypatch):
 
 def test_block_encoding_checks_unitarity_when_built():
     with pytest.raises(EncodingError):
-        BlockEncoding(np.diag([1.0, 2.0]), 1.0, 1)
+        BlockEncoding(np.diag([1.0, 2.0]), 1.0)
+    # a unitary of odd side is no dilation: block_dim, half its side, is not whole
+    with pytest.raises(ShapeError):
+        BlockEncoding(np.eye(3), 1.0)
 
 
 def test_block_encoding_holds_a_read_only_copy():
     u = np.eye(4, dtype=complex)
-    enc = BlockEncoding(u, 1.0, 2)
+    enc = BlockEncoding(u, 1.0)
+    assert enc.block_dim == 2
     u[0, 0] = 2.0
     assert enc.U[0, 0] == 1.0
     with pytest.raises(ValueError):
@@ -251,7 +255,7 @@ def test_gram_route_at_singular_value_edges(n, pairs, unit_top, scale, seed):
     assert np.array_equal(enc.U[:n, :n], a / f.alpha)
 
 
-# --- the block-by-block check against the dense check ---------------------
+# --- the block-by-block check of [A; R] against the dense check -----------
 
 
 def with_zero_lines(rng, d):
@@ -291,49 +295,38 @@ def block_labels(order, c):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_block_check_decides_as_the_dense_check(kind, n, scale, stretch, seed):
-    # U and [A; R], scaled by 1 + stretch to move the deviation across the
-    # tolerance, checked block by block and whole; then with a nonzero
-    # planted outside the blocks, which leaves the decision to the dense check
+    # [A; R], scaled by 1 + stretch to move the deviation across the
+    # tolerance, checked block by block and whole; then, and U too, with a
+    # nonzero planted outside the blocks: [A; R] leaves the decision to the
+    # dense check, and U, checked whole, is refused exactly when the dense
+    # check refuses it
     rng = np.random.default_rng(seed)
     f = _factor(scale * BLOCK_KINDS[kind](rng, 1 << n))
-    assume(f.blocks is not None)
-    rows, cols, c = f.blocks
+    assume(f.rows is not None)
+    rows, cols, c = f.rows, f.cols, f.c
     dim = rows.shape[0]
     a, r = (np.diag(f.a), np.diag(f.r)) if f.a.ndim == 1 else (f.a, f.r)
+    m = np.vstack([a, r]) * (1.0 + stretch)
+    dense = dense_deviation(m)
+    block = _block_deviation(m[:dim], m[dim:], rows, cols, c)
+    assert abs(block - dense) <= 1e-15
+    assert (block <= UNITARY_TOL) == (dense <= UNITARY_TOL)
     lr, lc = block_labels(rows, c), block_labels(cols, c)
-    cases = (
-        (f.encoding().U, True, np.concatenate([lc, lr])),
-        (np.vstack([a, r]), False, lc),
-    )
-    for m, wide, col_labels in cases:
-        m = m * (1.0 + stretch)
-        dense = dense_deviation(m)
-        block = _block_deviation(m[:dim], m[dim:], rows, cols, c, wide)
-        assert abs(block - dense) <= 1e-15
-        assert (block <= UNITARY_TOL) == (dense <= UNITARY_TOL)
+    cases = ((m, lc), (f.encoding().U * (1.0 + stretch), np.concatenate([lc, lr])))
+    for m, col_labels in cases:
         outside = np.argwhere(np.concatenate([lr, lc])[:, None] != col_labels[None, :])
         i, j = outside[rng.integers(len(outside))]
         for planted in (1e-14, 1e-3):
             mp = m.copy()
             mp[i, j] = planted
-            assert _block_deviation(mp[:dim], mp[dim:], rows, cols, c, wide) is None
             refused = dense_deviation(mp) > UNITARY_TOL
             try:
-                if wide:
-                    BlockEncoding(mp, f.alpha, dim, f.blocks)
+                if mp.shape[1] > dim:
+                    BlockEncoding(mp, f.alpha)
                 else:
+                    assert _block_deviation(mp[:dim], mp[dim:], rows, cols, c) is None
                     _check_isometry(f._replace(a=mp[:dim], r=mp[dim:]), "step 1")
             except EncodingError:
                 assert refused
             else:
                 assert not refused
-
-
-def test_block_check_rejects_a_partition_that_is_not_one():
-    # orders that are not permutations of A's indices cannot vouch for the
-    # blocks: the dense check decides
-    u = np.diag([1.0, 1.0, 1.0, 2.0])
-    order = np.array([0, 0])
-    assert _block_deviation(u[:2], u[2:], order, np.arange(2), 0, True) is None
-    with pytest.raises(EncodingError):
-        BlockEncoding(u, 1.0, 2, (order, np.arange(2), 0))

@@ -7,7 +7,7 @@ from conftest import random_contraction, random_state_vector
 
 from qaffine import AffineSequence, AffineStep, SchemaError, block_encode, build_augmented
 from qaffine.blockenc import _Dilation
-from qaffine.cli import _build_parser, main, parse_problem, serialize_problem
+from qaffine.cli import _build_parser, main, parse_problem
 
 
 def write_problem(path, payload):
@@ -53,9 +53,20 @@ def test_serialize_parse_round_trip(tmp_path):
             AffineStep(random_contraction(rng, 2), None),
         ),
     )
-    path = tmp_path / "round.json"
-    path.write_text(json.dumps(serialize_problem(seq, mode="physical")))
-    parsed, mode = parse_problem(path)
+    payload = {
+        "version": 1,
+        "n": seq.n,
+        "psi": [[z.real, z.imag] for z in seq.psi0],
+        "steps": [
+            {
+                "A": [[[z.real, z.imag] for z in row] for row in step.A],
+                "B": "zero" if step.B is None else [[z.real, z.imag] for z in step.B],
+            }
+            for step in seq.steps
+        ],
+        "mode": "physical",
+    }
+    parsed, mode = parse_problem(write_problem(tmp_path / "round.json", payload))
     assert mode == "physical"
     assert parsed.n == seq.n and parsed.k == seq.k
     assert np.array_equal(parsed.psi0, seq.psi0)
@@ -141,10 +152,17 @@ def test_run_raw_amplitudes_and_mode_override(tmp_path):
     assert len(bundle["raw_amplitudes"]) == 8  # n=1, k=1 -> 3 qubits
 
 
-def test_run_verification_failure_exit_code(tmp_path, capsys):
+def test_run_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     problem = simple_problem(tmp_path)
     code = main(["run", problem, "--verify", "--tolerance", "0",
                  "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "verification failed" in capsys.readouterr().err
+    # a NaN deviation exceeds every tolerance
+    import qaffine.cli
+
+    monkeypatch.setattr(qaffine.cli, "extract_result", lambda res: np.full(2, np.nan, dtype=complex))
+    code = main(["run", problem, "--verify", "--out-dir", str(tmp_path / "out")])
     assert code == 1
     assert "verification failed" in capsys.readouterr().err
 
@@ -390,6 +408,17 @@ def test_demo_portfolio_bad_env_seed(tmp_path, monkeypatch, capsys):
     code = main(["demo", "portfolio", "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "QAFFINE_SEED" in capsys.readouterr().err
+
+
+def test_demo_negative_seed_exit_code(tmp_path, monkeypatch, capsys):
+    # a seed below 0 is invalid input (exit 3), not a traceback from numpy
+    out = ["--out-dir", str(tmp_path / "o")]
+    for demo in ("portfolio", "signal"):
+        assert main(["demo", demo, "--seed", "-1", *out]) == 3
+        assert "invalid-input:" in capsys.readouterr().err
+    monkeypatch.setenv("QAFFINE_SEED", "-1")
+    assert main(["demo", "portfolio", *out]) == 3
+    assert "invalid-input:" in capsys.readouterr().err
 
 
 def test_demo_signal(tmp_path, capsys):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import count_calls, random_contraction, random_real_unit, random_state_vector
+from conftest import count_calls, nan_at_largest, random_contraction, random_real_unit, random_state_vector
 
 from qaffine import (
     AffineSequence,
@@ -22,6 +22,7 @@ from qaffine import (
     run_gatelist,
     run_pipeline,
 )
+from qaffine.circuits import GateList
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -365,6 +366,16 @@ def test_apply_affine_step_leaves_its_input():
     assert out.num_qubits == 5
 
 
+@pytest.mark.parametrize("mode", ["abstract", "physical"])
+def test_apply_affine_step_rejects_a_register_narrower_than_its_base(mode):
+    # a 2-qubit step on a 1-qubit register: a typed error before any work,
+    # not numpy's reshape error, and the witness is left as it was
+    witness = GateList(1) if mode == "physical" else None
+    with pytest.raises(ShapeError):
+        apply_affine_step(init_amplitudes([1.0, 0.0]), 0.5 * np.eye(4), None, 1, 2, mode, witness)
+    assert witness is None or witness.gates == []
+
+
 def test_apply_affine_step_weight_parameter():
     # weight w folds w*B into the sum branch: result = A psi + w B
     rng = np.random.default_rng(69)
@@ -430,18 +441,22 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
 
 
 def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
-    # a factorization whose residual block R is zeroed: the abstract stage
-    # fails its isometry check, the physical stage the unitarity check of
-    # the U it builds from the same factorization
+    # a factorization whose residual block R is zeroed, or holds a NaN (which
+    # a `dev > tol` guard passes): the abstract stage fails its isometry
+    # check on the split, diagonal and dense routes, the physical stage the
+    # unitarity check of the U it builds from the same factorization
     import qaffine.pipeline
 
     factor = qaffine.pipeline._factor
-    monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: factor(m)._replace(r=np.zeros_like(m)))
     st = init_amplitudes([1.0, 0.0])
-    with pytest.raises(EncodingError):
-        apply_affine_step(st, 0.5 * X, None, 1, 1)
-    seq = AffineSequence(1, [1.0, 0.0], (AffineStep(0.5 * X),))
-    with pytest.raises(EncodingError):
-        run_pipeline(seq)
-    with pytest.raises(EncodingError):
-        run_pipeline(seq, mode="physical")
+    dense = random_contraction(np.random.default_rng(79), 2)
+    for broken in (np.zeros_like, nan_at_largest):
+        monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: (f := factor(m))._replace(r=broken(f.r)))
+        for a in (0.5 * X, 0.5 * np.eye(2), dense):
+            with pytest.raises(EncodingError):
+                apply_affine_step(st, a, None, 1, 1)
+            seq = AffineSequence(1, [1.0, 0.0], (AffineStep(a),))
+            with pytest.raises(EncodingError):
+                run_pipeline(seq)
+            with pytest.raises(EncodingError):
+                run_pipeline(seq, mode="physical")

@@ -9,6 +9,7 @@ from conftest import (
 
 from qaffine import (
     CapacityError,
+    InvalidInputError,
     NormalizationError,
     QubitIndexError,
     ShapeError,
@@ -19,7 +20,7 @@ from qaffine import (
     prepend_ancilla,
     sample,
 )
-from qaffine.simulator import QuantumState
+from qaffine.simulator import QuantumState, _check_normalized
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -160,6 +161,8 @@ def test_sample_deterministic_for_seed():
     h2 = sample(st, 5000, seed=123)
     assert h1.counts == h2.counts
     assert sum(h1.counts.values()) == 5000
+    with pytest.raises(InvalidInputError):
+        sample(st, 5000, seed=-1)
 
 
 def test_sample_frequencies_track_probabilities():
@@ -212,6 +215,9 @@ def test_norm_drift_raises_normalization_error():
         apply_unitary(st, H, (0,))
     with pytest.raises(NormalizationError):
         apply_unitary(st, X, (0,), (1,), (0,))
+    # a NaN norm is no norm within tolerance of 1
+    with pytest.raises(NormalizationError):
+        _check_normalized(np.array([np.nan, 1.0], dtype=complex))
 
 
 def test_state_norm_matches_numpy():

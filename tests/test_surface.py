@@ -1,5 +1,6 @@
-"""Every name the package exports has a user besides its own unit tests:
-another package module, or the acceptance criteria.  Only `synthesis`
+"""Every name the package exports, and every public function or class a
+package module defines, has a user besides its own unit tests: a package
+module other than `__init__`, or the acceptance criteria.  Only `synthesis`
 imports scipy, and only a use of one of its names loads it.  One call site
 factors every dilation."""
 
@@ -26,6 +27,13 @@ def _referenced_names(path: Path) -> set[str]:
     return names
 
 
+def _used_names() -> set[str]:
+    """Names the acceptance criteria and the package modules but `__init__`
+    load or import."""
+    modules = (m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
+    return _referenced_names(ACCEPTANCE).union(*map(_referenced_names, modules))
+
+
 def _lazy_names(tree: ast.Module) -> set[str]:
     """The names `__init__` loads on first use: its `_SYNTHESIS` tuple."""
     for node in tree.body:
@@ -46,11 +54,18 @@ def test_every_export_has_a_user():
     lazy = _lazy_names(tree)
     assert "compare_methods" in lazy
     exported |= lazy
-    used = _referenced_names(ACCEPTANCE)
-    for module in PACKAGE.glob("*.py"):
-        if module != init:
-            used |= _referenced_names(module)
-    assert sorted(exported - used) == []
+    assert sorted(exported - _used_names()) == []
+
+
+def test_every_public_definition_has_a_user():
+    defined = {
+        (module.stem, node.name)
+        for module in PACKAGE.glob("*.py")
+        for node in ast.parse(module.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    used = _used_names()
+    assert sorted((stem, name) for stem, name in defined if name not in used) == []
 
 
 def _imported_top_level(path: Path) -> set[str]:
