@@ -148,7 +148,7 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
     bit-reversal swaps folded in, so output indices are in natural order.
     Matrix entries are e^{2 pi i jk / M} / sqrt(M); inverse runs the
     inverted gate list, the adjoint."""
-    ts = tuple(int(t) for t in targets)
+    ts = tuple(targets)  # the gates refuse a non-integral index
     if not ts:
         raise ShapeError("qft needs at least one target")
     t = len(ts)

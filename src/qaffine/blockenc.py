@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EncodingError, ShapeError
+from .errors import EncodingError, InvalidInputError, ShapeError
 from .linalg import as_matrix, gram_deviation, is_unitary, max_abs
 
 UNITARY_TOL = 1e-10
@@ -53,12 +53,15 @@ class BlockEncoding:
     """A dilation U of A/alpha, A being U's top-left block of dimension
     block_dim, half U's side.  U is checked whole for unitarity (within
     UNITARY_TOL) once, here, and kept as a read-only copy, so gates can run
-    it without checking it again."""
+    it without checking it again; alpha, which scales the block back to A,
+    must be finite and > 0."""
 
     U: np.ndarray
     alpha: float
 
     def __post_init__(self):
+        if not 0 < self.alpha < np.inf:  # a NaN fails too
+            raise InvalidInputError(f"alpha must be finite and > 0, got {self.alpha!r}")
         u = np.array(self.U, dtype=np.complex128)  # is_unitary checks it is square
         if u.ndim != 2 or u.shape[0] % 2:
             raise ShapeError(f"a dilation is a matrix of even side, got shape {u.shape}")

@@ -17,7 +17,9 @@ also takes a Reflector or a checked `blockenc.BlockEncoding`, whose unitarity
 was checked when it was built (in O(d) for a Reflector, at 1e-10 for a
 dilation), and keeps their read-only data.  Gates derived from built gates
 (`dagger`, `with_control`, lowering) are unitary by construction, so running
-a program checks qubit indices and the output norm but not unitarity again.
+a program checks the output norm but not unitarity again.  Qubit indices and
+control values must be integers; indices are checked once per distinct
+layout, whether a program is run or multiplied out (`gatelist_matrix`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import simulator
 from .errors import InvalidInputError, ShapeError
 from .linalg import Reflector
-from .simulator import QuantumState, _apply, _apply_gate, _validated_gate
+from .simulator import QuantumState, _apply, _apply_gate, _as_ints, _validated_gate
 
 SQRT2 = np.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQRT2
@@ -53,19 +55,19 @@ class Gate:
 
 
 def single(matrix, target: int) -> Gate:
-    return Gate("single", (int(target),), matrix=_validated_gate(matrix, 1))
+    return Gate("single", _as_ints((target,)), matrix=_validated_gate(matrix, 1))
 
 
 def cnot(control: int, target: int) -> Gate:
-    if control == target:
+    c, t = _as_ints((control, target))
+    if c == t:
         raise InvalidInputError("cnot control and target must differ")
-    return Gate("cnot", (int(target),), (int(control),), (1,), PAULI_X)
+    return Gate("cnot", (t,), (c,), (1,), PAULI_X)
 
 
 def block(matrix, targets, controls=(), control_values=()) -> Gate:
-    ts = tuple(int(t) for t in targets)
-    cs = tuple(int(c) for c in controls)
-    vs = tuple(int(v) for v in control_values)
+    ts, cs = _as_ints(targets), _as_ints(controls)
+    vs = _as_ints(control_values, InvalidInputError, "control values")
     if len(cs) != len(vs):
         raise ShapeError(f"{len(cs)} controls but {len(vs)} control values")
     return Gate("block", ts, cs, vs, _validated_gate(matrix, len(ts)))
@@ -92,14 +94,15 @@ def inverted(gates) -> list[Gate]:
 
 def with_control(g: Gate, control: int, value: int = 1) -> Gate:
     """Same gate with one more (anti-)control attached."""
-    control = int(control)
+    (control,) = _as_ints((control,))
+    (value,) = _as_ints((value,), InvalidInputError, "control values")
     if control in g.targets or control in g.controls:
         raise InvalidInputError(f"control {control} already used by the gate")
     return Gate(
         "block",
         g.targets,
         g.controls + (control,),
-        g.control_values + (int(value),),
+        g.control_values + (value,),
         g.matrix,
     )
 
@@ -125,6 +128,5 @@ def gatelist_matrix(gl: GateList) -> np.ndarray:
     q = gl.qubit_count
     mat = np.eye(1 << q, dtype=np.complex128)
     for g in gl.gates:
-        cols = mat.reshape([2] * q + [1 << q])
-        mat = _apply(cols, q, g.matrix, g.targets, g.controls, g.control_values).reshape(mat.shape)
+        mat = _apply(mat, q, g.matrix, g.targets, g.controls, g.control_values)
     return mat

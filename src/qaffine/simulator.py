@@ -15,12 +15,17 @@ Conventions used throughout the package:
 * Sampling draws one uniform variate per shot from numpy's default_rng (PCG64,
   a seedable 64-bit generator) and inverts the cumulative distribution of
   |amplitude|^2, so histograms are reproducible for a fixed seed.
+* One kernel, `_apply`, runs every gate on a transposed view of a state or
+  of a matrix's columns.  `_layout` checks and caches each distinct qubit
+  layout once.  Qubit indices and control values must be integers.
 * A gate matrix is a dense array or a `linalg.Reflector`; the kernel applies
   either through `@`, so a reflector costs O(d) per column, not O(d^2).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +43,7 @@ from .linalg import UNITARY_ATOL, Reflector, as_matrix, as_vector, check_unit_no
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
+LAYOUT_CACHE_SIZE = 1024  # checked layouts kept; a perfbench `physical` cycle uses 326
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,44 +109,53 @@ def prepend_ancilla(state: QuantumState) -> QuantumState:
     return QuantumState(q, amps)
 
 
-def _check_qubits(q: int, idxs, label: str) -> tuple[int, ...]:
-    idxs = tuple(int(i) for i in idxs)
-    if len(set(idxs)) != len(idxs):
-        raise QubitIndexError(f"{label} contains duplicates: {idxs}")
-    for i in idxs:
-        if not 0 <= i < q:
-            raise QubitIndexError(f"{label} index {i} outside [0, {q})")
-    return idxs
+def _as_ints(xs, error=QubitIndexError, label: str = "qubit indices") -> tuple[int, ...]:
+    """xs as ints; int() would truncate 0.7, and 1.0 would hit 1's layout."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        raise error(f"{label} must be integers, got {xs!r}") from None
 
 
-def _apply_on_axes(arr: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply u across the given qubit axes of an ndarray (extra trailing axes
-    are treated as a batch)."""
-    t = len(axes)
-    moved = np.moveaxis(arr, axes, range(t))
-    shape = moved.shape
-    flat = moved.reshape(1 << t, -1)
-    flat = u @ flat
-    return np.moveaxis(flat.reshape(shape), range(t), axes)
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(q: int, targets: tuple[int, ...], controls: tuple[int, ...], control_values: tuple[int, ...]):
+    """The checked layout of a gate on q qubits: the axis order that brings an
+    array of shape [2]*q + [batch] to controls first, then targets, then the
+    other qubits in their order (batch last), its inverse, and the control
+    values.  A call that raises is not cached: a bad layout raises each time."""
+    for label, idxs in (("targets", targets), ("controls", controls)):
+        if len(set(idxs)) != len(idxs):
+            raise QubitIndexError(f"{label} contains duplicates: {idxs}")
+        for i in idxs:
+            if not 0 <= i < q:
+                raise QubitIndexError(f"{label} index {i} outside [0, {q})")
+    if set(targets) & set(controls):
+        raise QubitIndexError(f"targets {targets} and controls {controls} overlap")
+    if len(control_values) != len(controls):
+        raise ShapeError(f"{len(controls)} controls but {len(control_values)} control values")
+    if any(v not in (0, 1) for v in control_values):
+        raise InvalidInputError(f"control values must be bits, got {control_values}")
+    front = [q - 1 - i for i in controls + targets]
+    order = tuple(front + [a for a in range(q + 1) if a not in front])
+    inverse = tuple(order.index(a) for a in range(q + 1))
+    return order, inverse, control_values
 
 
-def _apply(arr: np.ndarray, q: int, u: np.ndarray, targets, controls, control_values) -> np.ndarray:
-    """The gate kernel: apply u to the target qubits of an array of shape
-    [2]*q + batch, only where the control qubits carry control_values.
-
-    Indices and u are taken as already checked."""
-    axes = [q - 1 - t for t in targets]
-    if not controls:
-        return _apply_on_axes(arr, u, axes)
-    arr = arr.copy()
-    sel: list[object] = [slice(None)] * q
-    for c, v in zip(controls, control_values):
-        sel[q - 1 - c] = v
-    # axis positions shift once the control axes are indexed away
-    c_axes = sorted(q - 1 - c for c in controls)
-    local = [a - sum(1 for ca in c_axes if ca < a) for a in axes]
-    arr[tuple(sel)] = _apply_on_axes(arr[tuple(sel)], u, local)
-    return arr
+def _apply(arr: np.ndarray, q: int, u, targets, controls, control_values) -> np.ndarray:
+    """The gate kernel: apply u (taken as checked) to the target qubits of a
+    register of shape (2**q,) or (2**q, batch), where the controls carry
+    control_values.  An uncontrolled gate holds at most two register-sized
+    arrays at once (one if its layout is arr's own order)."""
+    vals = _as_ints(control_values, InvalidInputError, "control values")
+    order, inverse, vals = _layout(q, _as_ints(targets), _as_ints(controls), vals)
+    grid = arr.reshape((2,) * q + (-1,))
+    block = grid.transpose(order)[vals]
+    new = (u @ block.reshape(1 << len(targets), -1)).reshape(block.shape)
+    if not vals:
+        return new.transpose(inverse).reshape(arr.shape)
+    out = grid.copy()
+    out.transpose(order)[vals] = new
+    return out.reshape(arr.shape)
 
 
 def _validated_gate(u, t: int) -> np.ndarray | Reflector:
@@ -160,21 +175,11 @@ def _validated_gate(u, t: int) -> np.ndarray | Reflector:
 
 
 def _apply_gate(state: QuantumState, m: np.ndarray, targets, controls, control_values) -> QuantumState:
-    """apply_unitary for a matrix checked when its gate was built: qubit
-    indices and the output norm are checked, unitarity is not."""
-    q = state.num_qubits
-    ts = _check_qubits(q, targets, "targets")
-    cs = _check_qubits(q, controls, "controls")
-    if set(ts) & set(cs):
-        raise QubitIndexError(f"targets {ts} and controls {cs} overlap")
-    vals = tuple(int(v) for v in control_values)
-    if len(vals) != len(cs):
-        raise ShapeError(f"{len(cs)} controls but {len(vals)} control values")
-    if any(v not in (0, 1) for v in vals):
-        raise InvalidInputError(f"control values must be bits, got {vals}")
-    out = _apply(state.amplitudes.reshape([2] * q), q, m, ts, cs, vals).reshape(-1)
+    """apply_unitary for a matrix checked when its gate was built: the layout
+    and the output norm are checked, unitarity is not."""
+    out = _apply(state.amplitudes, state.num_qubits, m, targets, controls, control_values)
     _check_normalized(out)
-    return QuantumState(q, out)
+    return QuantumState(state.num_qubits, out)
 
 
 def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=()) -> QuantumState:
@@ -184,7 +189,7 @@ def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=(
 
     targets[0] is the most significant qubit of the matrix's local index.
     """
-    ts = tuple(targets)
+    ts = _as_ints(targets)
     return _apply_gate(state, _validated_gate(u, len(ts)), ts, controls, control_values)
 
 

@@ -8,6 +8,7 @@ from test_stage_properties import MATRICES
 from qaffine import (
     BlockEncoding,
     EncodingError,
+    InvalidInputError,
     ShapeError,
     apply_unitary,
     block_encode,
@@ -139,6 +140,12 @@ def test_block_encoding_checks_unitarity_when_built():
     # a unitary of odd side is no dilation: block_dim, half its side, is not whole
     with pytest.raises(ShapeError):
         BlockEncoding(np.eye(3), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [-3.0, 0.0, float("nan"), float("inf")])
+def test_block_encoding_refuses_alpha_that_is_not_a_finite_positive_scale(alpha):
+    with pytest.raises(InvalidInputError):
+        BlockEncoding(np.eye(2), alpha)
 
 
 def test_block_encoding_holds_a_read_only_copy():

@@ -3,10 +3,12 @@ import pytest
 from conftest import count_calls, embed_controlled_oracle, embed_unitary_oracle, random_unitary
 
 from qaffine import (
+    Gate,
     GateList,
     HADAMARD,
     InvalidInputError,
     PAULI_X,
+    QubitIndexError,
     ShapeError,
     UnitarityError,
     apply_gate,
@@ -196,3 +198,35 @@ def test_gatelist_matrix_with_cnots_matches_oracle():
     for ref in refs:
         dense = ref @ dense
     assert np.max(np.abs(gatelist_matrix(GateList(q, gates)) - dense)) <= 1e-12
+
+
+def test_gatelist_matrix_checks_indices_as_run_gatelist_does():
+    # a gate on qubit 3 of 2 once wrapped around to qubit 0, and a block
+    # controlled by its own target was multiplied out
+    for gate in (single(HADAMARD, 3), block(PAULI_X, (0,), (0,), (1,)), Gate("single", (1.0,), matrix=PAULI_X)):
+        gl = GateList(2, [gate])
+        with pytest.raises(QubitIndexError):
+            run_gatelist(gl)
+        with pytest.raises(QubitIndexError):
+            gatelist_matrix(gl)
+
+
+def test_gate_builders_refuse_non_integral_indices():
+    # int() truncated these: single(X, 0.9) targeted qubit 0 and a control
+    # value of 0.4 was stored as 0
+    for build in (
+        lambda: single(PAULI_X, 0.9),
+        lambda: cnot(0.5, 1),
+        lambda: block(PAULI_X, (1.0,)),
+        lambda: block(PAULI_X, (1,), (0.2,), (1,)),
+        lambda: with_control(single(PAULI_X, 0), 1.5),
+    ):
+        with pytest.raises(QubitIndexError):
+            build()
+    with pytest.raises(InvalidInputError):
+        block(PAULI_X, (1,), (0,), (0.4,))
+    with pytest.raises(InvalidInputError):
+        with_control(single(PAULI_X, 0), 1, value=0.5)
+    g = block(PAULI_X, (np.int64(1),), (np.int32(0),), (np.uint8(0),))
+    assert (g.targets, g.controls, g.control_values) == ((1,), (0,), (0,))
+    assert all(type(i) is int for i in g.targets + g.controls + g.control_values)

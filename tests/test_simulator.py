@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import (
@@ -6,21 +8,27 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qaffine import (
     CapacityError,
+    GateList,
     InvalidInputError,
     NormalizationError,
     QubitIndexError,
     ShapeError,
     UnitarityError,
     apply_unitary,
+    block,
+    gatelist_matrix,
     init_amplitudes,
     init_basis,
     prepend_ancilla,
     sample,
 )
-from qaffine.simulator import QuantumState, _check_normalized
+from qaffine.linalg import Reflector
+from qaffine.simulator import QuantumState, _check_normalized, _layout
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -121,6 +129,104 @@ def test_apply_unitary_validation():
         apply_unitary(st, X, (2,))
     with pytest.raises(QubitIndexError):
         apply_unitary(st, X, (0,), (0,), (1,))
+
+
+@given(
+    q=st.integers(1, 7),
+    t=st.integers(1, 3),
+    c=st.integers(0, 3),
+    reflector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gate_kernel_matches_dense_oracle(q, t, c, reflector, seed):
+    # one kernel runs states (apply_unitary) and columns (gatelist_matrix);
+    # both must match the entry-by-entry embedding, for any order of targets
+    # and (anti-)controls and for a dense matrix or a reflector alike
+    rng = np.random.default_rng(seed)
+    t = min(t, q)
+    c = min(c, q - t)
+    labels = rng.permutation(q).tolist()
+    targets, controls = tuple(labels[:t]), tuple(labels[t : t + c])
+    values = tuple(int(v) for v in rng.integers(0, 2, size=c))
+    if reflector:
+        v = random_state_vector(rng, 1 << t) * np.sqrt(2.0)
+        u = Reflector(v, np.exp(2j * np.pi * rng.uniform()))
+        dense = u @ np.eye(1 << t)
+    else:
+        u = dense = random_unitary(rng, 1 << t)
+    ref = embed_controlled_oracle(dense, targets, controls, values, q)
+    psi = random_state_vector(rng, 1 << q)
+    st_out = apply_unitary(init_amplitudes(psi), u, targets, controls, values)
+    assert np.max(np.abs(st_out.amplitudes - ref @ psi)) <= 1e-12
+    mat = gatelist_matrix(GateList(q, [block(u, targets, controls, values)]))
+    assert np.max(np.abs(mat - ref)) <= 1e-12
+
+
+def test_invalid_layout_raises_on_every_call():
+    # a layout that fails its check is never cached, before or after the
+    # valid layouts of the same register are
+    st = init_basis(3)
+    bad = [
+        ((3,), (), (), QubitIndexError),
+        ((0,), (0,), (1,), QubitIndexError),
+        ((0, 0), (), (), QubitIndexError),
+        ((0,), (1,), (2,), InvalidInputError),
+        ((0,), (1,), (), ShapeError),
+    ]
+    for targets, controls, values, error in bad:
+        u = np.eye(1 << len(targets))
+        for _ in range(2):
+            with pytest.raises(error):
+                apply_unitary(st, u, targets, controls, values)
+        apply_unitary(st, X, (0,), (1,), (1,))
+        apply_unitary(st, X, (2,))
+        for _ in range(2):
+            with pytest.raises(error):
+                apply_unitary(st, u, targets, controls, values)
+
+
+def test_layout_cache_is_bounded():
+    assert 0 < _layout.cache_info().maxsize < float("inf")
+
+
+def test_non_integral_indices_are_refused():
+    # int() would truncate them: 0.7 acted on qubit 0 and a control value of
+    # 0.5 as an anti-control; and 1.0 must not run as the cached layout of 1
+    st = init_basis(2)
+    apply_unitary(st, X, (1,))
+    with pytest.raises(QubitIndexError):
+        apply_unitary(st, X, (0.7,))
+    with pytest.raises(QubitIndexError):
+        apply_unitary(st, X, (1.0,))
+    with pytest.raises(QubitIndexError):
+        apply_unitary(st, X, (0,), (1.0,), (1,))
+    with pytest.raises(InvalidInputError):
+        apply_unitary(st, X, (0,), (1,), (0.5,))
+    # numpy integers are integral
+    out = apply_unitary(st, X, (np.int64(1),), (np.int32(0),), (np.uint8(0),))
+    assert out.amplitudes[2] == 1.0
+
+
+@pytest.mark.parametrize(
+    "args, registers",
+    [
+        (((0,),), 2.0),  # a reordered copy and the product, then the product reordered
+        (((1,), (17,), (1,)), 2.0),  # the controlled half's copy and product, then the register's copy
+        (((17,),), 1.0),  # the order is the register's own: the product only
+    ],
+)
+def test_gate_peak_allocation(args, registers):
+    q = 18
+    st = init_basis(q)
+    apply_unitary(st, H, *args)
+    tracemalloc.start()
+    try:
+        apply_unitary(st, H, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the slack covers the gate's own small arrays and tuples
+    assert peak <= registers * st.amplitudes.nbytes + 64 * 1024
 
 
 def test_apply_unitary_then_adjoint_restores_state():

@@ -2,7 +2,7 @@
 package module defines, has a user besides its own unit tests: a package
 module other than `__init__`, or the acceptance criteria.  Only `synthesis`
 imports scipy, and only a use of one of its names loads it.  One call site
-factors every dilation."""
+factors every dilation, and one kernel applies every gate."""
 
 import ast
 import os
@@ -107,6 +107,17 @@ def test_one_factorization_site():
     # every route (abstract and physical stages, the baseline, block_encode)
     # takes its dilation from `blockenc._factor`'s one eigendecomposition
     assert _calls_named({"eigh", "svd"}) == [("blockenc", "_factor", "np.linalg.eigh")]
+
+
+def test_one_gate_kernel():
+    # states and matrix columns run through `simulator._apply`, on the
+    # layouts `_layout` checks and caches; no second axis-moving kernel
+    assert _calls_named({"moveaxis"}) == []
+    assert sorted(_calls_named({"_apply"})) == [
+        ("circuits", "gatelist_matrix", "_apply"),
+        ("simulator", "_apply_gate", "_apply"),
+    ]
+    assert _calls_named({"_layout"}) == [("simulator", "_apply", "_layout")]
 
 
 def test_importing_the_package_and_cli_loads_no_scipy_linalg():
