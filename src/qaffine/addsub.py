@@ -16,9 +16,11 @@ operand and supports two modes:
   the circuit that prepared |phi> from |0...0>; controlled on the new
   ancilla, that circuit is uncomputed and a preparation of b~ is applied (a
   linear-combination-of-unitaries construction), between the two Hadamards.
+  The circuit is first replayed to check that it does prepare |phi>.
 
 Both modes agree to numerical precision; "physical" exists to certify that
-the abstract shortcut is realizable with gates.
+the abstract shortcut is realizable with gates.  The physical pipeline runs
+the abstract stages and checks its whole witness once (`_check_witness`).
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def hadamard_addsub_fresh(psi_a, psi_b) -> AddSubResult:
     return AddSubResult(state, np.arange(half), np.arange(half, 2 * half))
 
 
+def _check_witness(witness: GateList, amps: np.ndarray) -> None:
+    """Replay the witness from |0...0>: it must prepare amps within WITNESS_TOL."""
+    dev = max_abs(run_gatelist(witness).amplitudes - amps)
+    if not dev <= WITNESS_TOL:
+        raise PreconditionError(f"witness does not reconstruct the state (max deviation {dev:.3e})")
+
+
 def addsub_stage_gates(b_tilde: np.ndarray, witness: GateList) -> list[Gate]:
     """Gate realization of one in-place stage on top of a prepared register.
 
@@ -153,12 +162,7 @@ def hadamard_addsub_inplace(
                 f"witness is on {circuit_so_far.qubit_count} qubits, "
                 f"state has {state.num_qubits}"
             )
-        rebuilt = run_gatelist(circuit_so_far)
-        dev = max_abs(rebuilt.amplitudes - state.amplitudes)
-        if not dev <= WITNESS_TOL:
-            raise PreconditionError(
-                f"witness does not reconstruct the state (max deviation {dev:.3e})"
-            )
+        _check_witness(circuit_so_far, state.amplitudes)
         gates = addsub_stage_gates(b, circuit_so_far)
         st = apply_gates(simulator.prepend_ancilla(state), gates)
         circuit_so_far.qubit_count += 1

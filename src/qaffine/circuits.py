@@ -18,8 +18,10 @@ was checked when it was built (in O(d) for a Reflector, at 1e-10 for a
 dilation), and keeps their read-only data.  Gates derived from built gates
 (`dagger`, `with_control`, lowering) are unitary by construction, so running
 a program checks the output norm but not unitarity again.  Qubit indices and
-control values must be integers; indices are checked once per distinct
-layout, whether a program is run or multiplied out (`gatelist_matrix`).
+control values must be integers.  `block` and `with_control` refuse a
+qubit used twice and a control value that is not a bit when they build the
+gate; the register width is checked once per distinct layout, whether a
+program is run or multiplied out (`gatelist_matrix`).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulator
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError
 from .linalg import Reflector
-from .simulator import QuantumState, _apply, _apply_gate, _as_ints, _validated_gate
+from .simulator import QuantumState, _apply, _apply_gate, _as_ints, _check_wires, _validated_gate
 
 SQRT2 = np.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQRT2
@@ -68,8 +70,7 @@ def cnot(control: int, target: int) -> Gate:
 def block(matrix, targets, controls=(), control_values=()) -> Gate:
     ts, cs = _as_ints(targets), _as_ints(controls)
     vs = _as_ints(control_values, InvalidInputError, "control values")
-    if len(cs) != len(vs):
-        raise ShapeError(f"{len(cs)} controls but {len(vs)} control values")
+    _check_wires(ts, cs, vs)
     return Gate("block", ts, cs, vs, _validated_gate(matrix, len(ts)))
 
 
@@ -96,15 +97,9 @@ def with_control(g: Gate, control: int, value: int = 1) -> Gate:
     """Same gate with one more (anti-)control attached."""
     (control,) = _as_ints((control,))
     (value,) = _as_ints((value,), InvalidInputError, "control values")
-    if control in g.targets or control in g.controls:
-        raise InvalidInputError(f"control {control} already used by the gate")
-    return Gate(
-        "block",
-        g.targets,
-        g.controls + (control,),
-        g.control_values + (value,),
-        g.matrix,
-    )
+    controls, values = g.controls + (control,), g.control_values + (value,)
+    _check_wires(g.targets, controls, values)
+    return Gate("block", g.targets, controls, values, g.matrix)
 
 
 def apply_gate(state: QuantumState, g: Gate) -> QuantumState:

@@ -18,20 +18,23 @@ The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
 R = sqrt(I - A^dag A), from the one factorization of A that every route
 shares (`blockenc._factor`: one eigendecomposition of the coupled core's
-Gram, or O(N) for a diagonal A).  Abstract mode never builds the 2N x 2N unitary; physical mode
-builds it from the same factorization for its gate witness, so witness and
-state apply one pair of blocks.
+Gram, or O(N) for a diagonal A).  The 2N x 2N unitary is built only for
+physical mode's gate witness, from the same factorization.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
-amplitudes are the first d of the next register's 4d.  Abstract
-`run_pipeline` therefore allocates one buffer of 2^(n + 2k) amplitudes and
-runs each stage in place, rewriting buf[:4d] from buf[:d] in one pass
-(`_stage`): the halved dilation blocks X (A/2)^T and X (R/2)^T go to
-[2d, 3d) and [d, 2d), clear of the input, and are copied to [0, d) and
-[3d, 4d); +-b~/2 is then folded in on b~'s support, its first N entries and
-the garbage index 2d - 1.  No register-size translation vector is built.
-The public `apply_affine_step` runs the same stage on a fresh 4d buffer.
+amplitudes are the first d of the next register's 4d.  `run_pipeline`
+therefore allocates one buffer of 2^(n + 2k) amplitudes and runs each stage
+in place, rewriting buf[:4d] from buf[:d] in one pass (`_stage`): the
+halved dilation blocks X (A/2)^T and X (R/2)^T go to [2d, 3d) and [d, 2d),
+clear of the input, and are copied to [0, d) and [3d, 4d); +-b~/2 is then
+folded in on b~'s support, its first N entries and the garbage index
+2d - 1.  No register-size translation vector is built.  The public
+`apply_affine_step` runs the same stage on a fresh 4d buffer.
+
+Physical mode runs the same stages and appends each step's gates to a
+witness (the dilation U, then `addsub.addsub_stage_gates`); one replay at
+the end must prepare the final register within `addsub.WITNESS_TOL`.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulator
-from .addsub import _fold, hadamard_addsub_inplace
+from .addsub import _check_witness, _fold, _unit, addsub_stage_gates
 from .blockenc import _check_isometry, _Dilation, _factor, _write_dilation
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
     ContractionError,
     InvalidInputError,
-    MissingWitnessError,
     NormalizationError,
     ShapeError,
 )
@@ -233,8 +235,6 @@ def apply_affine_step(
     b,
     step_index: int,
     base_n: int,
-    mode: str = "abstract",
-    witness: GateList | None = None,
     translation_weight: float = 1.0,
 ) -> QuantumState:
     """One pipeline stage on an existing register: dilation ancilla + A_j,
@@ -245,32 +245,24 @@ def apply_affine_step(
         raise ShapeError(f"step matrix shape {m.shape} != base dimension 2^{base_n}")
     if state.num_qubits < base_n:
         raise ShapeError(f"register has {state.num_qubits} qubits, fewer than base_n = {base_n}")
-    if mode == "physical" and witness is None:
-        raise MissingWitnessError("physical mode requires a circuit witness")
     if state.num_qubits + 2 > MAX_QUBITS:
         raise CapacityError(f"qubit count {state.num_qubits + 2} exceeds {MAX_QUBITS}")
-    f = _step_dilation(m, step_index, witness)
+    f = _step_dilation(m, step_index)
     d = state.dim
-    if mode == "abstract":
-        buf = np.empty(4 * d, dtype=np.complex128)
-        buf[:d] = state.amplitudes
-        head, resid = _translation_support(b, step_index, 2 * d, translation_weight)
-        _stage(buf, d, f.a, f.r, head, resid)
-        return QuantumState(state.num_qubits + 2, buf)
-    phi = np.empty(2 * d, dtype=np.complex128)
-    x = state.amplitudes.reshape(-1, dim)
-    _write_dilation(x, f.a, f.r, phi[:d].reshape(x.shape), phi[d:].reshape(x.shape))
-    _check_normalized(phi)
-    rt = rescale_translation(b, step_index, 2 * d, weight=translation_weight)
-    return hadamard_addsub_inplace(QuantumState(state.num_qubits + 1, phi), rt.b_tilde, mode, witness)
+    buf = np.empty(4 * d, dtype=np.complex128)
+    buf[:d] = state.amplitudes
+    head, resid = _translation_support(b, step_index, 2 * d, translation_weight)
+    _stage(buf, d, f.a, f.r, head, resid)
+    return QuantumState(state.num_qubits + 2, buf)
 
 
 def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     """Run every step; the composed affine image is scale * amplitudes at
     result_indices, with scale exactly 2^k.
 
-    Abstract mode runs every stage in place in one buffer of 2^(n + 2k)
-    amplitudes; physical mode runs `apply_affine_step` with its witness."""
+    Both modes run every stage in place in one buffer of 2^(n + 2k)
+    amplitudes.  Physical mode also builds the gate witness and checks once,
+    at the end, that it prepares the final register (PreconditionError)."""
     if mode not in ("abstract", "physical"):
         raise InvalidInputError(f"unknown pipeline mode {mode!r}")
     n, k = seq.n, seq.k
@@ -278,24 +270,24 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
         raise CapacityError(
             f"pipeline needs {n + 2 * k} qubits (n={n}, k={k}), cap is {MAX_QUBITS}"
         )
-    state = simulator.init_amplitudes(seq.psi0)
+    buf = np.empty(1 << (n + 2 * k), dtype=np.complex128)
+    d = 1 << n
+    buf[:d] = simulator.init_amplitudes(seq.psi0).amplitudes
     witness: GateList | None = None
     if mode == "physical":
-        prep = block(state_preparation(state.amplitudes), tuple(range(n - 1, -1, -1)))
-        witness = GateList(n, [prep])
-        for j, step in enumerate(seq.steps, start=1):
-            state = apply_affine_step(state, step.A, step.B, j, n, mode, witness)
-    else:
-        buf = np.empty(1 << (n + 2 * k), dtype=np.complex128)
-        d = 1 << n
-        buf[:d] = state.amplitudes
-        for j, step in enumerate(seq.steps, start=1):
-            f = _step_dilation(step.A, j)
-            _stage(buf, d, f.a, f.r, *_translation_support(step.B, j, 2 * d))
-            d *= 4
-        state = QuantumState(n + 2 * k, buf)
+        witness = GateList(n, [block(state_preparation(buf[:d]), tuple(range(n - 1, -1, -1)))])
+    for j, step in enumerate(seq.steps, start=1):
+        f = _step_dilation(step.A, j, witness)
+        _stage(buf, d, f.a, f.r, *_translation_support(step.B, j, 2 * d))
+        if witness is not None:
+            b_tilde = _unit(rescale_translation(step.B, j, 2 * d).b_tilde, "b_tilde")
+            witness.gates.extend(addsub_stage_gates(b_tilde, witness))
+            witness.qubit_count += 1
+        d *= 4
+    if witness is not None:
+        _check_witness(witness, buf)
     return PipelineResult(
-        state=state,
+        state=QuantumState(n + 2 * k, buf),
         k=k,
         scale=2**k,
         result_indices=np.arange(1 << n),

@@ -99,7 +99,7 @@ def test_with_control_adds_anticontrol():
     assert g.kind == "block"
     ref = embed_controlled_oracle(PAULI_X, (0,), (1,), (0,), 2)
     assert np.max(np.abs(gatelist_matrix(GateList(2, [g])) - ref)) == 0.0
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(QubitIndexError):
         with_control(g, 1)
 
 
@@ -202,13 +202,32 @@ def test_gatelist_matrix_with_cnots_matches_oracle():
 
 def test_gatelist_matrix_checks_indices_as_run_gatelist_does():
     # a gate on qubit 3 of 2 once wrapped around to qubit 0, and a block
-    # controlled by its own target was multiplied out
-    for gate in (single(HADAMARD, 3), block(PAULI_X, (0,), (0,), (1,)), Gate("single", (1.0,), matrix=PAULI_X)):
+    # controlled by its own target was multiplied out; `block` now refuses
+    # the latter, so it is built directly
+    for gate in (single(HADAMARD, 3), Gate("block", (0,), (0,), (1,), PAULI_X), Gate("single", (1.0,), matrix=PAULI_X)):
         gl = GateList(2, [gate])
         with pytest.raises(QubitIndexError):
             run_gatelist(gl)
         with pytest.raises(QubitIndexError):
             gatelist_matrix(gl)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: block(PAULI_X, (0,), (0,), (1,)), QubitIndexError),
+        (lambda: block(np.eye(4), (1, 1)), QubitIndexError),
+        (lambda: block(PAULI_X, (1,), (0, 0), (1, 1)), QubitIndexError),
+        (lambda: block(PAULI_X, (1,), (0,), (2,)), InvalidInputError),
+        (lambda: with_control(single(PAULI_X, 0), 3, 2), InvalidInputError),
+    ],
+    ids=["target-is-control", "duplicate-targets", "duplicate-controls", "block-value-2", "with-control-value-2"],
+)
+def test_gate_builders_refuse_bad_wiring(build, error):
+    # each of these once built a gate that raised only when a program
+    # holding it was run or multiplied out
+    with pytest.raises(error):
+        build()
 
 
 def test_gate_builders_refuse_non_integral_indices():

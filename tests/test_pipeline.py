@@ -12,6 +12,7 @@ from qaffine import (
     EncodingError,
     InvalidInputError,
     NormalizationError,
+    PreconditionError,
     QuantumState,
     ShapeError,
     apply_affine_step,
@@ -22,7 +23,6 @@ from qaffine import (
     run_gatelist,
     run_pipeline,
 )
-from qaffine.circuits import GateList
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -220,7 +220,7 @@ def test_physical_mode_matches_abstract():
         seq = random_sequence(rng, 1, 2)
         res_a = run_pipeline(seq, mode="abstract")
         res_p = run_pipeline(seq, mode="physical")
-        assert np.max(np.abs(res_a.state.amplitudes - res_p.state.amplitudes)) <= 1e-10
+        assert np.array_equal(res_a.state.amplitudes, res_p.state.amplitudes)
         assert res_p.circuit is not None and res_a.circuit is None
 
 
@@ -278,6 +278,47 @@ def test_physical_stage_factors_and_checks_its_dilation_once(monkeypatch):
         assert eigh_shapes == [(1 << n, 1 << n)] * k
         assert sum(np.shape(args[0])[0] == 2 << n for args in checks) == k
         assert isometry == []
+
+
+def test_physical_run_applies_each_witness_gate_once(monkeypatch):
+    # the stages run in place; the one replay of the witness is the only
+    # gate-level work
+    calls = count_calls(monkeypatch, "_apply_gate")
+    rng = np.random.default_rng(80)
+    for n, k in ((1, 3), (2, 4), (3, 2)):
+        calls.clear()
+        res = run_pipeline(random_sequence(rng, n, k), mode="physical")
+        assert len(calls) == len(res.circuit.gates)
+
+
+def test_physical_witness_checks_the_stage_gates(monkeypatch):
+    # a stage realization without its closing Hadamard prepares another state
+    import qaffine.pipeline
+
+    stage_gates = qaffine.pipeline.addsub_stage_gates
+    monkeypatch.setattr(qaffine.pipeline, "addsub_stage_gates", lambda b, w: stage_gates(b, w)[:-1])
+    rng = np.random.default_rng(81)
+    for k in (1, 2, 3):
+        with pytest.raises(PreconditionError):
+            run_pipeline(random_sequence(rng, 2, k), mode="physical")
+
+
+def test_physical_witness_checks_the_abstract_stages(monkeypatch):
+    # one amplitude of the last stage moved by 1e-6: the gates do not
+    # prepare it, so the witness certifies the in-place arithmetic
+    import qaffine.pipeline
+
+    stage = qaffine.pipeline._stage
+
+    def perturbed(buf, d, *args):
+        stage(buf, d, *args)
+        if 4 * d == buf.size:
+            buf[0] += 1e-6
+
+    monkeypatch.setattr(qaffine.pipeline, "_stage", perturbed)
+    rng = np.random.default_rng(82)
+    with pytest.raises(PreconditionError):
+        run_pipeline(random_sequence(rng, 2, 2), mode="physical")
 
 
 def test_unknown_mode_rejected():
@@ -366,14 +407,11 @@ def test_apply_affine_step_leaves_its_input():
     assert out.num_qubits == 5
 
 
-@pytest.mark.parametrize("mode", ["abstract", "physical"])
-def test_apply_affine_step_rejects_a_register_narrower_than_its_base(mode):
+def test_apply_affine_step_rejects_a_register_narrower_than_its_base():
     # a 2-qubit step on a 1-qubit register: a typed error before any work,
-    # not numpy's reshape error, and the witness is left as it was
-    witness = GateList(1) if mode == "physical" else None
+    # not numpy's reshape error
     with pytest.raises(ShapeError):
-        apply_affine_step(init_amplitudes([1.0, 0.0]), 0.5 * np.eye(4), None, 1, 2, mode, witness)
-    assert witness is None or witness.gates == []
+        apply_affine_step(init_amplitudes([1.0, 0.0]), 0.5 * np.eye(4), None, 1, 2)
 
 
 def test_apply_affine_step_weight_parameter():

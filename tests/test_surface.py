@@ -2,7 +2,8 @@
 package module defines, has a user besides its own unit tests: a package
 module other than `__init__`, or the acceptance criteria.  Only `synthesis`
 imports scipy, and only a use of one of its names loads it.  One call site
-factors every dilation, and one kernel applies every gate."""
+factors every dilation, one kernel applies every gate, and one replay checks
+every gate witness."""
 
 import ast
 import os
@@ -118,6 +119,13 @@ def test_one_gate_kernel():
         ("simulator", "_apply_gate", "_apply"),
     ]
     assert _calls_named({"_layout"}) == [("simulator", "_apply", "_layout")]
+
+
+def test_one_witness_replay():
+    # a physical run builds its state by the abstract stages and replays its
+    # witness once, at the end; no stage rebuilds the state from gates
+    assert _calls_named({"run_gatelist"}) == [("addsub", "_check_witness", "run_gatelist")]
+    assert [site for site in _calls_named({"hadamard_addsub_inplace"}) if site[0] == "pipeline"] == []
 
 
 def test_importing_the_package_and_cli_loads_no_scipy_linalg():
