@@ -68,11 +68,8 @@ from .pipeline import (
     AffineSequence,
     AffineStep,
     PipelineResult,
-    RescaledTranslation,
-    apply_affine_step,
     classical_affine_compose,
     extract_result,
-    rescale_translation,
     run_pipeline,
 )
 from .simulator import (

@@ -11,11 +11,11 @@ the final amplitude at bits (i_0, ..., i_{m-1}) is the iterated
     amp(bits) = Psi[i_0] / 2^(m-1)
                 + sum_r (-1)^(i_r) * B_r[int(i_{r-1}..i_0)] / 2^(m-r).
 
-Signal filtering: frequency-domain scale-and-bias.  The register holds the
-normalized samples, a forward transform moves to frequency space, one
-pipeline stage applies X -> a X + b*v (v a unit bias vector, |a| <= 1,
-|b| <= 1), and the inverse transform returns to the time domain, compared
-against a plain FFT reference.
+Signal filtering: frequency-domain scale-and-bias.  A forward transform
+moves the normalized samples to frequency space, one weighted pipeline run
+applies X -> a X + b*v (the step A = a I, B = v a unit bias vector, weight
+b; |a| <= 1, |b| <= 1), and the inverse transform returns to the time
+domain, compared against a plain FFT reference.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import as_vector, check_unit_norm
-from .pipeline import apply_affine_step
+from .pipeline import AffineSequence, AffineStep, run_pipeline
 from .simulator import QuantumState
 
 MAX_GROUP_LEVELS = 10
@@ -209,17 +209,15 @@ def random_two_tone(length: int, seed: int) -> np.ndarray:
 def signal_filter(spec: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-domain affine filter, both ways.
 
-    Quantum path: load normalized samples, forward transform (DFT sign),
-    one pipeline stage X -> a X + b v, inverse transform on the base
-    register, de-scale by the stage ledger of 2.  Classical path: the same
-    arithmetic on top of numpy's FFT.  Returns (quantum, classical) outputs
-    on the normalized-input scale.
+    Quantum path: forward transform (DFT sign) of the normalized samples,
+    one weighted pipeline run X -> a X + b v from those amplitudes, inverse
+    transform on the base register of its result, de-scaled by the run's
+    ledger of 2.  Classical path: the same arithmetic on top of numpy's FFT.
+    Returns (quantum, classical) outputs on the normalized-input scale.
     """
     x = spec.samples
     if abs(spec.scale_a) > 1.0:
         raise ContractionError(f"|scale_a| = {abs(spec.scale_a)!r} exceeds 1")
-    if abs(spec.bias_b) > 1.0:
-        raise NormalizationError(f"|bias_b| = {abs(spec.bias_b)!r} exceeds 1")
     nrm = np.linalg.norm(x)
     if nrm < 1e-12:
         raise NormalizationError("signal norm is (near-)zero")
@@ -231,20 +229,12 @@ def signal_filter(spec: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
         v = np.ones(big_m, dtype=np.complex128) / np.sqrt(big_m)
     base = tuple(range(n - 1, -1, -1))
 
-    state = simulator.init_amplitudes(xn)
     # the forward filter step uses the DFT sign e^{-2 pi i jk/M}, i.e. the
     # conjugate of the qft base convention
-    state = qft(state, base, inverse=True)
-    state = apply_affine_step(
-        state,
-        spec.scale_a * np.eye(big_m),
-        v,
-        step_index=1,
-        base_n=n,
-        translation_weight=spec.bias_b,
-    )
-    state = qft(state, base, inverse=False)
-    quantum = 2.0 * state.amplitudes[:big_m]
+    freq_state = qft(simulator.init_amplitudes(xn), base, inverse=True)
+    step = AffineStep(spec.scale_a * np.eye(big_m), v, spec.bias_b)
+    res = run_pipeline(AffineSequence(n, freq_state.amplitudes, (step,)))
+    quantum = res.scale * qft(res.state, base, inverse=False).amplitudes[:big_m]
 
     freq = np.fft.fft(xn) / np.sqrt(big_m)
     filtered = spec.scale_a * freq + spec.bias_b * v

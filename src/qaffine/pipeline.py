@@ -12,7 +12,8 @@ Each step adjoins the dilation ancilla, applies the dilation of A_j to
 {that ancilla} + {base register}, adjoins the add/sub ancilla and folds in
 the rescaled translation.  After k steps the composed affine image sits at
 basis indices 0..N-1 with an exact amplitude ledger of 2^k: the branch with
-all add/sub ancillas 0 carries (result)_i / 2^k.
+all add/sub ancillas 0 carries (result)_i / 2^k.  A step's weight w in
+[-1, 1] scales its translation: the step maps x -> A x + w B.
 
 The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
@@ -29,8 +30,7 @@ in place, rewriting buf[:4d] from buf[:d] in one pass (`_stage`): the
 halved dilation blocks X (A/2)^T and X (R/2)^T go to [2d, 3d) and [d, 2d),
 clear of the input, and are copied to [0, d) and [3d, 4d); +-b~/2 is then
 folded in on b~'s support, its first N entries and the garbage index
-2d - 1.  No register-size translation vector is built.  The public
-`apply_affine_step` runs the same stage on a fresh 4d buffer.
+2d - 1.  No register-size translation vector is built.
 
 Physical mode runs the same stages and appends each step's gates to a
 witness (the dilation U, then `addsub.addsub_stage_gates`); one replay at
@@ -39,7 +39,7 @@ the end must prepare the final register within `addsub.WITNESS_TOL`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,14 @@ UNIT_ROUNDING_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AffineStep:
-    """One stage x -> A x + B.  B = None marks a zero translation.  A B whose
-    norm lies within UNIT_NORM_TOL of 1 is stored as the unit vector B / |B|."""
+    """One stage x -> A x + weight * B.  B = None marks a zero translation.
+    A B whose norm lies within UNIT_NORM_TOL of 1 is stored as the unit
+    vector B / |B|.  The weight lies in [-1, 1]: the stage folds in
+    weight * B / 2^(j-1) with a residual that keeps b~ a unit vector."""
 
     A: np.ndarray
     B: np.ndarray | None = None
+    weight: float = 1.0
 
     def __post_init__(self):
         a = as_matrix(self.A)
@@ -89,6 +92,10 @@ class AffineStep:
                 # is not idempotent, and problem files must round-trip.
                 b = b / nrm
             object.__setattr__(self, "B", b)
+        w = float(self.weight)
+        if not -1.0 <= w <= 1.0:
+            raise NormalizationError(f"translation weight {w!r} outside [-1, 1]")
+        object.__setattr__(self, "weight", w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +129,6 @@ class AffineSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class RescaledTranslation:
-    b_tilde: np.ndarray
-    step_index: int
-    garbage_index: int
-
-
-@dataclass(frozen=True, eq=False)
 class PipelineResult:
     state: QuantumState
     k: int
@@ -151,43 +151,17 @@ class PipelineResult:
         return offset + np.arange(self.result_indices.size)
 
 
-def _translation_support(b, step_index: int, target_dim: int, weight: float = 1.0) -> tuple[np.ndarray, float]:
-    """The nonzero entries of rescale_translation's vector: the scaled head
-    (its first N entries) and the residual at its last index."""
-    j = int(step_index)
-    if j < 1:
-        raise InvalidInputError(f"step index must be >= 1, got {j}")
-    target_dim = int(target_dim)
-    if target_dim < 2 or target_dim & (target_dim - 1):
-        raise ShapeError(f"target dimension {target_dim} is not a power of two")
-    weight = float(weight)
-    if not -1.0 <= weight <= 1.0:
-        raise NormalizationError(f"translation weight {weight!r} outside [-1, 1]")
+def _translation_support(b, step_index: int, weight: float) -> tuple[np.ndarray, float]:
+    """The nonzero entries of step j's b~: the head weight * beta / 2^(j-1),
+    for beta = B / |B|, at its first N entries, and the residual
+    sqrt(1 - weight^2 / 4^(j-1)) at its last index, which makes b~ a unit
+    vector without touching any measured or branch-tracked index.  B = None
+    (zero translation) leaves only the residual 1."""
     if b is None:
         return np.zeros(0, dtype=np.complex128), 1.0
-    v = as_vector(b)
-    if v.shape[0] * 2 > target_dim:
-        raise ShapeError(
-            f"translation length {v.shape[0]} does not fit dimension {target_dim}"
-        )
-    scale = weight / 2 ** (j - 1)
+    scale = weight / 2 ** (step_index - 1)
     # B is renormalized, so the residual is exact from the scale alone
-    return v / check_unit_norm(v, "translation") * scale, float(np.sqrt(1.0 - scale**2))
-
-
-def rescale_translation(b, step_index: int, target_dim: int, weight: float = 1.0) -> RescaledTranslation:
-    """Embed a translation vector into the register present at step j.
-
-    The first N entries become weight * beta_i / 2^(j-1), for beta = B/|B|;
-    a single residual sqrt(1 - weight^2 / 4^(j-1)) at the all-ones index makes
-    the result a unit vector without touching any measured or branch-tracked
-    index.  b = None (zero translation) yields the pure garbage vector.
-    """
-    head, resid = _translation_support(b, step_index, target_dim, weight)
-    out = np.zeros(int(target_dim), dtype=np.complex128)
-    out[: head.shape[0]] = head
-    out[-1] = resid
-    return RescaledTranslation(out, int(step_index), out.shape[0] - 1)
+    return b / check_unit_norm(b, "translation") * scale, float(np.sqrt(1.0 - scale**2))
 
 
 def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = None) -> _Dilation:
@@ -229,33 +203,6 @@ def _stage(buf: np.ndarray, d: int, a: np.ndarray, r: np.ndarray, head: np.ndarr
     _fold(buf, 2 * d, support[:-1], support[-1])
 
 
-def apply_affine_step(
-    state: QuantumState,
-    a,
-    b,
-    step_index: int,
-    base_n: int,
-    translation_weight: float = 1.0,
-) -> QuantumState:
-    """One pipeline stage on an existing register: dilation ancilla + A_j,
-    then add/sub ancilla + rescaled translation.  The input is not changed."""
-    m = as_matrix(a)
-    dim = 1 << base_n
-    if m.shape != (dim, dim):
-        raise ShapeError(f"step matrix shape {m.shape} != base dimension 2^{base_n}")
-    if state.num_qubits < base_n:
-        raise ShapeError(f"register has {state.num_qubits} qubits, fewer than base_n = {base_n}")
-    if state.num_qubits + 2 > MAX_QUBITS:
-        raise CapacityError(f"qubit count {state.num_qubits + 2} exceeds {MAX_QUBITS}")
-    f = _step_dilation(m, step_index)
-    d = state.dim
-    buf = np.empty(4 * d, dtype=np.complex128)
-    buf[:d] = state.amplitudes
-    head, resid = _translation_support(b, step_index, 2 * d, translation_weight)
-    _stage(buf, d, f.a, f.r, head, resid)
-    return QuantumState(state.num_qubits + 2, buf)
-
-
 def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     """Run every step; the composed affine image is scale * amplitudes at
     result_indices, with scale exactly 2^k.
@@ -278,9 +225,13 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
         witness = GateList(n, [block(state_preparation(buf[:d]), tuple(range(n - 1, -1, -1)))])
     for j, step in enumerate(seq.steps, start=1):
         f = _step_dilation(step.A, j, witness)
-        _stage(buf, d, f.a, f.r, *_translation_support(step.B, j, 2 * d))
+        head, resid = _translation_support(step.B, j, step.weight)
+        _stage(buf, d, f.a, f.r, head, resid)
         if witness is not None:
-            b_tilde = _unit(rescale_translation(step.B, j, 2 * d).b_tilde, "b_tilde")
+            b_tilde = np.zeros(2 * d, dtype=np.complex128)
+            b_tilde[: head.shape[0]] = head
+            b_tilde[-1] = resid
+            b_tilde = _unit(b_tilde, "b_tilde")
             witness.gates.extend(addsub_stage_gates(b_tilde, witness))
             witness.qubit_count += 1
         d *= 4
@@ -310,5 +261,5 @@ def classical_affine_compose(seq: AffineSequence) -> np.ndarray:
     for step in seq.steps:
         v = step.A @ v
         if step.B is not None:
-            v = v + step.B
+            v = v + step.weight * step.B
     return v

@@ -219,6 +219,10 @@ def test_signal_validation():
     with pytest.raises(NormalizationError):
         signal_filter(SignalSpec(x, 0.5, 1.5))
     with pytest.raises(NormalizationError):
+        signal_filter(SignalSpec(x, 0.5, np.nan))
+    with pytest.raises(InvalidInputError):
+        signal_filter(SignalSpec(x, np.nan, 0.5))
+    with pytest.raises(NormalizationError):
         signal_filter(SignalSpec(np.zeros(8), 0.5, 0.0))
     with pytest.raises(ShapeError):
         SignalSpec(x[:5], 1.0, 0.0)

@@ -13,57 +13,64 @@ from qaffine import (
     InvalidInputError,
     NormalizationError,
     PreconditionError,
-    QuantumState,
     ShapeError,
-    apply_affine_step,
     classical_affine_compose,
     extract_result,
-    init_amplitudes,
-    rescale_translation,
     run_gatelist,
     run_pipeline,
 )
+from qaffine.pipeline import _translation_support
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def random_sequence(rng, n, k):
+def random_weight(rng):
+    """A translation weight: one of the edge values, or uniform on [-1, 1]."""
+    if rng.random() < 0.5:
+        return float(rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0]))
+    return float(rng.uniform(-1.0, 1.0))
+
+
+def random_sequence(rng, n, k, weighted=False):
     dim = 1 << n
     steps = []
     for _ in range(k):
         b = random_state_vector(rng, dim) if rng.random() < 0.8 else None
-        steps.append(AffineStep(random_contraction(rng, dim), b))
+        weight = random_weight(rng) if weighted else 1.0
+        steps.append(AffineStep(random_contraction(rng, dim), b, weight))
     return AffineSequence(n, random_state_vector(rng, dim), tuple(steps))
 
 
 # --- rescaled translations -------------------------------------------------
 
 
+def support(b, j, weight=1.0):
+    head, resid = _translation_support(None if b is None else np.asarray(b, dtype=complex), j, weight)
+    return np.append(head, resid)
+
+
 def test_rescale_first_step_keeps_entries():
-    rt = rescale_translation([1.0, 0.0], 1, 8)
-    assert rt.b_tilde[0] == pytest.approx(1.0)
-    assert rt.garbage_index == 7
-    assert rt.b_tilde[7] == pytest.approx(0.0, abs=1e-12)
-    assert np.linalg.norm(rt.b_tilde) == pytest.approx(1.0, abs=1e-14)
+    sup = support([1.0, 0.0], 1)
+    assert sup[0] == pytest.approx(1.0)
+    assert sup[-1] == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.norm(sup) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rescale_second_step_halves_entries():
-    rt = rescale_translation([1.0, 0.0], 2, 32)
-    assert rt.b_tilde[0] == pytest.approx(0.5)
-    assert rt.b_tilde[31] == pytest.approx(np.sqrt(0.75))
-    assert np.count_nonzero(rt.b_tilde) == 2
+    sup = support([1.0, 0.0], 2)
+    assert sup[0] == pytest.approx(0.5)
+    assert sup[-1] == pytest.approx(np.sqrt(0.75))
+    assert np.count_nonzero(sup) == 2
 
 
 def test_rescale_zero_translation_is_pure_garbage():
-    rt = rescale_translation(None, 3, 16)
-    assert rt.b_tilde[15] == 1.0
-    assert np.count_nonzero(rt.b_tilde) == 1
+    assert support(None, 3).tolist() == [1.0]
 
 
 def test_rescale_weight_scales_entries():
-    rt = rescale_translation([1.0, 0.0], 1, 8, weight=0.5)
-    assert rt.b_tilde[0] == pytest.approx(0.5)
-    assert rt.b_tilde[7] == pytest.approx(np.sqrt(0.75))
+    sup = support([1.0, 0.0], 1, weight=0.5)
+    assert sup[0] == pytest.approx(0.5)
+    assert sup[-1] == pytest.approx(np.sqrt(0.75))
 
 
 def test_rescale_always_unit_norm():
@@ -71,41 +78,39 @@ def test_rescale_always_unit_norm():
     for _ in range(30):
         dim = int(2 ** rng.integers(1, 4))
         j = int(rng.integers(1, 4))
-        target = dim << (2 * j - 1)
         w = float(rng.uniform(-1, 1))
-        rt = rescale_translation(random_state_vector(rng, dim), j, target, weight=w)
-        assert abs(np.linalg.norm(rt.b_tilde) - 1.0) <= 1e-12
+        sup = support(random_state_vector(rng, dim), j, weight=w)
+        assert abs(np.linalg.norm(sup) - 1.0) <= 1e-12
 
 
 def test_rescale_validation():
-    with pytest.raises(NormalizationError):
-        rescale_translation([1.0, 1.0], 1, 8)
-    with pytest.raises(NormalizationError):
-        rescale_translation([1.0, 0.0], 1, 8, weight=1.5)
-    with pytest.raises(ShapeError):
-        rescale_translation([1.0, 0.0], 1, 3)
-    with pytest.raises(ShapeError):
-        rescale_translation(np.eye(4)[0], 1, 4)  # needs dim > 2 * len
-    with pytest.raises(InvalidInputError):
-        rescale_translation([1.0, 0.0], 0, 8)
+    # B and the weight are checked at the boundary: an off-norm B when the
+    # sequence runs, a weight outside [-1, 1] (or NaN) when the step is built
+    seq = AffineSequence(1, [1.0, 0.0], (AffineStep(np.eye(2), [1.0, 1.0]),))
+    for mode in ("abstract", "physical"):
+        with pytest.raises(NormalizationError):
+            run_pipeline(seq, mode)
+    for weight in (1.5, np.nan):
+        with pytest.raises(NormalizationError):
+            AffineStep(np.eye(2), [1.0, 0.0], weight)
 
 
 def test_rescale_residual_with_a_low_norm_reading_is_exactly_zero(monkeypatch):
     # a norm read 1e-9 low passes the 1e-8 check; the residual comes from
     # the step scale alone, so it is exactly 0 at step 1 and no error
     monkeypatch.setattr(np.linalg, "norm", lambda v: 1.0 - 1e-9)
-    rt = rescale_translation([1.0, 0.0], 1, 8)
-    assert rt.b_tilde[7] == 0.0
+    assert _translation_support(np.array([1.0, 0.0], dtype=complex), 1, 1.0)[1] == 0.0
 
 
 def test_rescale_residual_is_exact_for_unit_translations():
-    # at step 1 with weight 1 the residual is 0 in exact arithmetic; a sum
+    # at step 1 with |weight| 1 the residual is 0 in exact arithmetic; a sum
     # of the rescaled |entries|^2 rounds to 1 - ulp and left up to ~1.8e-8
     rng = np.random.default_rng(66)
     for _ in range(500):
         b = random_state_vector(rng, int(2 ** rng.integers(1, 6)))
-        assert rescale_translation(b, 1, 4 * b.shape[0]).b_tilde[-1] == 0.0
-        assert rescale_translation(b, 2, 4 * b.shape[0], weight=-0.5).b_tilde[-1] == np.sqrt(1.0 - 1.0 / 16.0)
+        assert _translation_support(b, 1, 1.0)[1] == 0.0
+        assert _translation_support(b, 1, -1.0)[1] == 0.0
+        assert _translation_support(b, 2, -0.5)[1] == np.sqrt(1.0 - 1.0 / 16.0)
 
 
 # --- step and sequence validation -------------------------------------------
@@ -186,7 +191,7 @@ def test_pipeline_matches_classical_composition():
     for _ in range(30):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
-        seq = random_sequence(rng, n, k)
+        seq = random_sequence(rng, n, k, weighted=True)
         got = extract_result(run_pipeline(seq))
         want = classical_affine_compose(seq)
         assert np.max(np.abs(got - want)) <= 1e-10
@@ -359,16 +364,13 @@ def test_capacity_limit():
 
 def test_refusal_one_qubit_over_the_cap_allocates_nothing():
     # a 25-qubit register would take 512 MiB; it is refused before anything
-    # of its size exists.  The 23-qubit input state is a zero-stride view.
+    # of its size exists
     seq = AffineSequence(1, [1.0, 0.0], tuple(AffineStep(0.5 * X) for _ in range(12)))
-    state = QuantumState(23, np.broadcast_to(np.complex128(1.0), (1 << 23,)))
     tracemalloc.start()
     try:
         for mode in ("abstract", "physical"):
             with pytest.raises(CapacityError):
                 run_pipeline(seq, mode=mode)
-        with pytest.raises(CapacityError):
-            apply_affine_step(state, 0.5 * X, None, 1, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,30 +400,16 @@ def test_abstract_pipeline_holds_one_register_buffer():
     assert np.max(np.abs(extract_result(res) - classical_affine_compose(seq))) <= 1e-9
 
 
-def test_apply_affine_step_leaves_its_input():
-    rng = np.random.default_rng(78)
-    st = init_amplitudes(random_state_vector(rng, 8))
-    before = st.amplitudes.copy()
-    out = apply_affine_step(st, random_contraction(rng, 4), random_state_vector(rng, 4), 1, 2)
-    assert np.array_equal(st.amplitudes, before)
-    assert out.num_qubits == 5
-
-
-def test_apply_affine_step_rejects_a_register_narrower_than_its_base():
-    # a 2-qubit step on a 1-qubit register: a typed error before any work,
-    # not numpy's reshape error
-    with pytest.raises(ShapeError):
-        apply_affine_step(init_amplitudes([1.0, 0.0]), 0.5 * np.eye(4), None, 1, 2)
-
-
-def test_apply_affine_step_weight_parameter():
+def test_step_weight_parameter():
     # weight w folds w*B into the sum branch: result = A psi + w B
     rng = np.random.default_rng(69)
     a = random_contraction(rng, 2)
     b = random_state_vector(rng, 2)
     psi = random_state_vector(rng, 2)
-    st = apply_affine_step(init_amplitudes(psi), a, b, 1, 1, translation_weight=0.25)
-    assert np.max(np.abs(2 * st.amplitudes[:2] - (a @ psi + 0.25 * b))) <= 1e-12
+    seq = AffineSequence(1, psi, (AffineStep(a, b, 0.25),))
+    for mode in ("abstract", "physical"):
+        got = extract_result(run_pipeline(seq, mode))
+        assert np.max(np.abs(got - (a @ psi + 0.25 * b))) <= 1e-12
 
 
 def test_dense_expansive_matrix_rejected():
@@ -474,8 +462,10 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     for a in (np.diag(d), -0.5 * np.eye(64), np.zeros((64, 64)), perm, holed):
-        st = apply_affine_step(init_amplitudes(psi), a, b, 1, 6)
-        assert np.max(np.abs(2 * st.amplitudes[:64] - (a @ psi + b))) <= 1e-12
+        seq = AffineSequence(6, psi, (AffineStep(a, b),))
+        for mode in ("abstract", "physical"):
+            got = extract_result(run_pipeline(seq, mode))
+            assert np.max(np.abs(got - (a @ psi + b))) <= 1e-12
 
 
 def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
@@ -486,13 +476,10 @@ def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
     import qaffine.pipeline
 
     factor = qaffine.pipeline._factor
-    st = init_amplitudes([1.0, 0.0])
     dense = random_contraction(np.random.default_rng(79), 2)
     for broken in (np.zeros_like, nan_at_largest):
         monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: (f := factor(m))._replace(r=broken(f.r)))
         for a in (0.5 * X, 0.5 * np.eye(2), dense):
-            with pytest.raises(EncodingError):
-                apply_affine_step(st, a, None, 1, 1)
             seq = AffineSequence(1, [1.0, 0.0], (AffineStep(a),))
             with pytest.raises(EncodingError):
                 run_pipeline(seq)

@@ -1,9 +1,11 @@
 """Property-based differential tests of the pipeline stage.
 
-The stage writes the ancilla-0 columns of the dilation directly.  Here it is
-compared with the route it replaced, rebuilt from the full 2N x 2N
-`block_encode` dilation, `prepend_ancilla` and `apply_unitary`, on the whole
-register, garbage half included.
+The stage writes the ancilla-0 columns of the dilation directly.  Here
+`run_pipeline` on sequences of one to three weighted steps is compared with
+the route it replaced, applied step by step: the full 2N x 2N `block_encode`
+dilation through `prepend_ancilla` and `apply_unitary`, then the add/sub
+ancilla with a b~ built here from its formula, on the whole register,
+garbage half included.
 
 R = sqrt(I - A^dag A) is ill-conditioned at singular values equal to 1: an
 ulp in s moves sqrt(1 - s^2) by about 1.5e-8.  Where a singular value is 1
@@ -25,14 +27,12 @@ from hypothesis import strategies as st
 from qaffine import (
     AffineSequence,
     AffineStep,
-    apply_affine_step,
     apply_unitary,
     block_encode,
     classical_affine_compose,
     extract_result,
     init_amplitudes,
     prepend_ancilla,
-    rescale_translation,
     run_pipeline,
 )
 from qaffine.circuits import HADAMARD
@@ -113,7 +113,9 @@ MATRICES = {
 def old_route(state, a, b, step_index, base_n, weight):
     """The stage as it was built before: the whole 2N x 2N dilation through
     the gate kernel, then the add/sub ancilla through a Hadamard gate.  That
-    route asserted alpha == 1, which block_encode gives for every A / sigma."""
+    route asserted alpha == 1, which block_encode gives for every A / sigma.
+    b~ is weight * B / 2^(j-1) on the first N entries, with the residual
+    sqrt(1 - weight^2 / 4^(j-1)) at the last index."""
     m = np.asarray(a, dtype=complex)
     sigma = np.linalg.norm(m, 2)
     if sigma > 1.0:
@@ -123,9 +125,13 @@ def old_route(state, a, b, step_index, base_n, weight):
     st_ = prepend_ancilla(state)
     targets = (st_.num_qubits - 1,) + tuple(range(base_n - 1, -1, -1))
     st_ = apply_unitary(st_, enc.U, targets)
-    rt = rescale_translation(b, step_index, st_.dim, weight=weight)
-    amps = np.concatenate([st_.amplitudes, rt.b_tilde]) / np.sqrt(2.0)
-    return apply_unitary(QuantumState(st_.num_qubits + 1, amps), HADAMARD, (st_.num_qubits,))
+    scale = weight / 2 ** (step_index - 1)
+    b_tilde = np.zeros(st_.dim, dtype=complex)
+    if b is not None:
+        b_tilde[: b.shape[0]] = scale * b
+    b_tilde[-1] = np.sqrt(1.0 - scale**2) if b is not None else 1.0
+    amps = np.concatenate([st_.amplitudes, b_tilde]) / np.sqrt(2.0)
+    return apply_unitary(QuantumState(st_.num_qubits + 1, amps), HADAMARD, (st_.num_qubits,)), b_tilde
 
 
 def off_by(rng, v, scale=1e-8):
@@ -133,35 +139,38 @@ def off_by(rng, v, scale=1e-8):
     return v * (1.0 + rng.uniform(-scale, scale))
 
 
+WEIGHTS = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0)
+
+
 @given(
-    kind=st.sampled_from(sorted(MATRICES)),
+    steps=st.lists(st.tuples(st.sampled_from(sorted(MATRICES)), st.booleans(), WEIGHTS), min_size=1, max_size=3),
     n=st.integers(1, 3),
-    step_index=st.integers(1, 3),
-    with_b=st.booleans(),
-    weight=st.sampled_from([1.0, -0.5, 0.25]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stage_matches_full_dilation_route(kind, n, step_index, with_b, weight, seed):
+def test_stage_matches_full_dilation_route(steps, n, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << n
-    q = n + 2 * (step_index - 1)
-    a = MATRICES[kind](rng, dim)
-    b = random_state_vector(rng, dim) if with_b else None
-    state = init_amplitudes(off_by(rng, random_state_vector(rng, 1 << q)))
+    steps = tuple(
+        AffineStep(MATRICES[kind](rng, dim), random_state_vector(rng, dim) if with_b else None, weight)
+        for kind, with_b, weight in steps
+    )
+    psi = off_by(rng, random_state_vector(rng, dim))
+    got_prev = want = init_amplitudes(psi)
+    for j, step in enumerate(steps, start=1):
+        # each prefix of the sequence is the register after step j
+        got = run_pipeline(AffineSequence(n, psi, steps[:j])).state.amplitudes
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-10
 
-    got = apply_affine_step(state, a, b, step_index, n, translation_weight=weight).amplitudes
-    assert abs(np.linalg.norm(got) - 1.0) <= 1e-10
+        want, b_tilde = old_route(want, step.A, step.B, j, n, step.weight)
+        # dilation-ancilla-0 rows hold A applied to every row of the register
+        x = got_prev.amplitudes.reshape(-1, dim)
+        low = got_prev.dim
+        assert np.max(np.abs(got[:low] - ((x @ step.A.T).ravel() + b_tilde[:low]) / 2)) <= STRICT_TOL
+        assert np.max(np.abs(got[2 * low : 3 * low] - ((x @ step.A.T).ravel() - b_tilde[:low]) / 2)) <= STRICT_TOL
 
-    # dilation-ancilla-0 rows hold A applied to every row of the register
-    x = state.amplitudes.reshape(-1, dim)
-    b_tilde = rescale_translation(b, step_index, 2 * state.dim, weight=weight).b_tilde
-    low = state.dim
-    assert np.max(np.abs(got[:low] - ((x @ a.T).ravel() + b_tilde[:low]) / 2)) <= STRICT_TOL
-    assert np.max(np.abs(got[2 * low : 3 * low] - ((x @ a.T).ravel() - b_tilde[:low]) / 2)) <= STRICT_TOL
-
-    # the whole register, dilation-ancilla-1 (garbage) rows included
-    want = old_route(state, a, b, step_index, n, weight)
-    assert np.max(np.abs(got - want.amplitudes)) <= STRICT_TOL
+        # the whole register, dilation-ancilla-1 (garbage) rows included
+        assert np.max(np.abs(got - want.amplitudes)) <= STRICT_TOL
+        got_prev = QuantumState(n + 2 * j, got)
 
 
 @given(
@@ -175,7 +184,11 @@ def test_abstract_matches_physical_on_whole_state(kinds, n, seed):
     rng = np.random.default_rng(seed)
     dim = 1 << n
     steps = tuple(
-        AffineStep(MATRICES[k](rng, dim), random_state_vector(rng, dim) if rng.uniform() < 0.7 else None)
+        AffineStep(
+            MATRICES[k](rng, dim),
+            random_state_vector(rng, dim) if rng.uniform() < 0.7 else None,
+            float(rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0])) if rng.uniform() < 0.5 else rng.uniform(-1.0, 1.0),
+        )
         for k in kinds
     )
     seq = AffineSequence(n, off_by(rng, random_state_vector(rng, dim)), steps)

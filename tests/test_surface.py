@@ -2,8 +2,8 @@
 package module defines, has a user besides its own unit tests: a package
 module other than `__init__`, or the acceptance criteria.  Only `synthesis`
 imports scipy, and only a use of one of its names loads it.  One call site
-factors every dilation, one kernel applies every gate, and one replay checks
-every gate witness."""
+factors every dilation, one kernel applies every gate, one entry runs every
+pipeline stage, and one replay checks every gate witness."""
 
 import ast
 import os
@@ -119,6 +119,13 @@ def test_one_gate_kernel():
         ("simulator", "_apply_gate", "_apply"),
     ]
     assert _calls_named({"_layout"}) == [("simulator", "_apply", "_layout")]
+
+
+def test_one_stage_entry():
+    # every stage, the signal filter's included, runs inside `run_pipeline`:
+    # it alone factors a step, builds its b~ support and writes the stage
+    for name in ("_stage", "_step_dilation", "_translation_support"):
+        assert _calls_named({name}) == [("pipeline", "run_pipeline", name)]
 
 
 def test_one_witness_replay():
