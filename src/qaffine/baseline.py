@@ -9,10 +9,11 @@ The map x -> A x + B embeds into one linear map on a doubled register:
 last amplitude).  One dilation of A~ then computes A psi + B in a single
 4N x 4N unitary, versus 2N x 2N per sequential stage: an independent
 cross-check and the cost baseline for gate counting.  Factoring A~ takes one
-eigendecomposition of the Gram of the N + 1 coordinates that A and B couple
-(`blockenc._factor`).  Only
-the ancilla-0 columns [A~/alpha ; R~] act, as in an abstract stage: they
-alone are checked and applied; U is built only when a circuit reads `enc`.
+eigendecomposition of the Gram of the N + 1 coordinates that A and B couple;
+the other N - 1 are singular pairs (`blockenc._factor`).  Only the ancilla-0
+columns [A~/alpha ; R~] act, as in an abstract stage: they alone are checked
+and applied, block by block from the factorization; U is built only when a
+circuit reads `enc`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,6 @@ def run_augmented(aug: AugmentedAffine) -> np.ndarray:
     """A psi + B: the checked ancilla-0 columns of A~'s dilation on psi~."""
     f, x = aug.dilation, aug.psi_tilde[None, :]
     phi = np.empty((2, x.shape[1]), dtype=np.complex128)
-    _write_dilation(x, f.a, f.r, phi[:1], phi[1:])
+    _write_dilation(x, f, 1.0, phi[:1], phi[1:])
     _check_normalized(phi)
     return np.sqrt(2.0) * f.alpha * phi[0, : x.shape[1] // 2]

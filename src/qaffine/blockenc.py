@@ -8,25 +8,25 @@ A matrix A with spectral norm at most alpha embeds into the unitary
 so applying U to a register whose top ancilla is |0> acts as A/alpha on the
 ancilla-0 block; alpha is 1 for a contraction, else sigma_max.
 
-Every route factors A once, in `_factor`.  A diagonal A takes O(N).
-Otherwise the dilation of a direct sum is the direct sum of the dilations,
-so an entry alone in its row and column is split off as its own singular
-pair and the one factorization runs on the coupled core left over: none
-for a phased permutation, N + 1 rows and columns for the baseline's
-2N x 2N A~.  It is one eigendecomposition of the core's Gram A^dag A = V
-diag(s^2) V^dag, since the dilation needs no left singular vectors:
-R = V diag(sqrt(1 - s^2)) V^dag, and the top-right block is
-I - A (I + R)^-1 A^dag (Gilyen, Su, Low, Wiebe, STOC 2019).  The
-abstract pipeline stage and the baseline take only the ancilla-0 columns
-[A; R] from it (`_check_isometry`, `_write_dilation`); the physical stage's
-witness, `block_encode` and the baseline's `enc` (synthesis) build U from
-it, checked whole, once, in `BlockEncoding`.
+Every route factors A once, in `_factor`, and keeps only A's direct-sum
+blocks (`_Dilation`).  The dilation of a direct sum is the direct sum of
+the dilations, so an entry alone in its row and column is split off as its
+own singular pair and the one factorization runs on the coupled core left
+over: all of a matrix with no zero entry, none for a diagonal A or a phased
+permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  It is
+one eigendecomposition of the core's Gram A^dag A = V diag(s^2) V^dag,
+since the dilation needs no left singular vectors: R = V diag(sqrt(1 - s^2))
+V^dag, and the top-right block is I - A (I + R)^-1 A^dag (Gilyen, Su, Low,
+Wiebe, STOC 2019).
 
-A direct sum is an isometry exactly when each summand is, so the check of
-[A; R] follows the same split (`_block_deviation`): after one count shows
-that every entry outside the blocks is zero, it forms the Gram of the core
-block only and checks the pairs' 2 x 1 blocks in O(N).  [A; R] with no
-pairs, or with any nonzero outside the blocks, is checked whole."""
+The abstract pipeline stage and the baseline take only the ancilla-0
+columns [A; R], block by block: `_check_isometry` forms the core's Gram and
+checks the pairs' 2 x 1 blocks in O(N) (a direct sum is an isometry exactly
+when each summand is), and `_write_dilation` runs the core as one product
+and the pairs elementwise.  Only `_Dilation.encoding` writes the blocks out
+densely, to build U for the physical stage's witness, `block_encode` and
+the baseline's `enc` (synthesis); U is checked whole, once, in
+`BlockEncoding`."""
 
 from __future__ import annotations
 
@@ -76,37 +76,50 @@ class BlockEncoding:
 
 
 class _Dilation(NamedTuple):
-    """The dilation of A/alpha: ancilla-0 columns `a` = A/alpha and
-    `r` = sqrt(I - A^dag A / alpha^2).  The top-right block
-    sqrt(I - A A^dag / alpha^2) is built only by `encoding`, from `a`, the
-    core's right singular vectors `v` and the residuals `rs`, placed by the
-    row order `rows` (see `_residual`).  For a diagonal A (v None) `a` and
-    `r` = `rs` hold the diagonals.  `rows`, `cols` and the core size `c`
-    are A's direct-sum partition (see `_split`; every index is a pair of a
-    diagonal A), None when the core is all of A."""
+    """The dilation of A/alpha as A's direct-sum blocks, in `_split`'s row
+    order `rows` and column order `cols`: the c x c core `a` of A/alpha, its
+    residual `r` = V diag(rs[:c]) V^dag from the core's right singular
+    vectors `v`, the pair values `p` = (A/alpha)[rows[c:], cols[c:]] and all
+    residuals `rs` = sqrt(1 - s^2), the core's first.  R = sqrt(I - A^dag A
+    / alpha^2) is `r` over cols[:c] and rs[c:] at the pairs' columns.
+    rows = cols = None is the identity order, of a matrix that is all core
+    (no pair) or all pairs (a diagonal A)."""
 
     a: np.ndarray
     r: np.ndarray
-    alpha: float
-    v: np.ndarray | None
+    v: np.ndarray
+    p: np.ndarray
     rs: np.ndarray
+    alpha: float
     rows: np.ndarray | None
     cols: np.ndarray | None
-    c: int
 
     def encoding(self) -> BlockEncoding:
-        """The full 2N x 2N dilation, checked once, whole."""
-        if self.v is None:
-            a = np.diag(self.a)
-            r = top_right = np.diag(self.r)
-        else:
-            a, r, c, rs = self.a, self.r, self.c, self.rs[: self.c]
-            t = np.zeros((c, c))  # exactly, for a unitary core
-            if rs.any():  # W diag(rs) W^dag = I - Y diag(1 / (1 + rs)) Y^dag, Y = A V
-                y = (a if self.rows is None else a[np.ix_(self.rows[:c], self.cols[:c])]) @ self.v
-                t = np.eye(c) - (y / (1.0 + rs)) @ y.conj().T
-            top_right = _residual(t, self.rs, self.rows)
+        """The full 2N x 2N dilation, checked once, whole; the one place the
+        blocks are written out densely.  The top-right block
+        sqrt(I - A A^dag / alpha^2) holds rs[c:] at the pairs' rows too."""
+        c = self.a.shape[0]
+        rs, pair_rs = self.rs[:c], self.rs[c:]
+        t = np.zeros((c, c))  # exactly, for a unitary core
+        if rs.any():  # W diag(rs) W^dag = I - Y diag(1 / (1 + rs)) Y^dag, Y = A V
+            y = self.a @ self.v
+            t = np.eye(c) - (y / (1.0 + rs)) @ y.conj().T
+        rows, cols = self.rows, self.cols
+        blocks = ((self.a, self.p, rows, cols), (self.r, pair_rs, cols, cols), (t, pair_rs, rows, rows))
+        a, r, top_right = (_dense(*b) for b in blocks)
         return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha)
+
+
+def _dense(core: np.ndarray, pairs: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
+    """The N x N matrix with `core` over rows[:c] x cols[:c] and pair k's
+    value at (rows[c + k], cols[c + k]); None is the identity order."""
+    if rows is None:  # all core, or all pairs on the diagonal
+        return core if core.size else np.diag(pairs)
+    c = core.shape[0]
+    out = np.zeros((rows.shape[0],) * 2, dtype=np.complex128)
+    out[np.ix_(rows[:c], cols[:c])] = core
+    out[rows[c:], cols[c:]] = pairs
+    return out
 
 
 def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -130,101 +143,81 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return rows, cols, m.shape[0] - pair_rows.shape[0]
 
 
-def _residual(core: np.ndarray, rs: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """`core` over the core coordinates order[:c] and rs itself on the paired
-    ones order[c:]; order None means the core is everything."""
-    c = core.shape[0]
-    if order is None:
-        return core
-    out = np.zeros((order.shape[0], order.shape[0]), dtype=np.complex128)
-    out[np.ix_(order[:c], order[:c])] = core
-    out[order[c:], order[c:]] = rs[c:]
-    return out
-
-
 def _factor(m: np.ndarray) -> _Dilation:
     """Factor a square matrix once.  alpha = sigma_max unless that is at most
     1 + ONE_TOL (then 1), so s / alpha <= 1 holds exactly in IEEE arithmetic;
     singular values of A/alpha within ONE_TOL of 1 become 1 (rs = 0).
 
-    A diagonal A is its own SVD.  Otherwise A is, up to row and column
-    orders, the direct sum of a core and its pairs (`_split`), and so is its
-    dilation: the one eigendecomposition, of the core's Gram, runs on the
-    core only, and none runs when the core is empty (a phased permutation)
-    or all zero; s = sqrt(lambda), a negative lambda of rounding read as 0.
-    A matrix with no zero entry has no pairs and is factored whole."""
+    A is, up to row and column orders, the direct sum of a core and its
+    pairs (`_split`), and so is its dilation: the one eigendecomposition, of
+    the core's Gram, runs on the core only, and none runs when the core is
+    empty (a diagonal A, a phased permutation) or all zero; s = sqrt(lambda),
+    a negative lambda of rounding read as 0.  A diagonal A is all pairs and
+    a matrix with no zero entry all core, both in the identity order."""
     diagonal = np.diagonal(m)
     nonzero = np.count_nonzero(m)
-    v = rows = cols = None
-    c = m.shape[0]
+    rows = cols = None
     if nonzero == np.count_nonzero(diagonal):
-        a, s = diagonal, np.abs(diagonal)
-        rows = cols = np.arange(m.shape[0])
-        c = 0
+        core, pairs = m[:0, :0], diagonal
     else:
-        a, core, paired = m, m, np.zeros(0)
+        core, pairs = m, diagonal[:0]
         split = _split(m) if nonzero < m.size else None
         if split is not None:
             rows, cols, c = split
             if nonzero == m.shape[0] - c:  # an all-zero core: its zero rows
                 c = 0  # and columns pair off in order, as pairs of value 0
-            core, paired = m[np.ix_(rows[:c], cols[:c])], np.abs(m[rows[c:], cols[c:]])
-        v, s = core, np.zeros(0)
-        if core.size:
-            lam, v = np.linalg.eigh(core.conj().T @ core)
-            s = np.sqrt(np.maximum(lam, 0.0))
-        s = np.concatenate([s, paired])
+            core, pairs = m[np.ix_(rows[:c], cols[:c])], m[rows[c:], cols[c:]]
+    c = core.shape[0]
+    v, s = core, np.abs(pairs)
+    if c:
+        lam, v = np.linalg.eigh(core.conj().T @ core)
+        s = np.concatenate([np.sqrt(np.maximum(lam, 0.0)), s])
     sigma = float(s.max())
     alpha = 1.0 if sigma <= 1.0 + ONE_TOL else sigma
     if alpha != 1.0:
-        a, s = a / alpha, s / alpha
+        core, pairs, s = core / alpha, pairs / alpha, s / alpha
     s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
     rs = np.sqrt(1.0 - s**2)
-    r = rs if v is None else _residual((v * rs[:c]) @ v.conj().T, rs, cols)
-    return _Dilation(a, r, alpha, v, rs, rows, cols, c)
+    return _Dilation(core, (v * rs[:c]) @ v.conj().T, v, pairs, rs, alpha, rows, cols)
 
 
-def _block_deviation(top, bottom, rows, cols, c: int) -> float | None:
-    """max |M^dag M - I| for M = [top; bottom] = [A; R] over the blocks of
-    A's direct-sum partition (rows, cols, c) from `_factor`: top's rows
-    follow A's rows, bottom's rows and M's columns A's columns.  The core
-    block, 2c rows by c columns, is one Gram; the pairs' 2 x 1 blocks are
-    checked together in O(N).  M^dag M is the direct sum of the blocks'
-    Grams when every entry outside them is zero; None, for the dense check,
-    when one is not."""
-    parts = ((top, rows), (bottom, cols))
-    core = [p[np.ix_(o[:c], cols[:c])] for p, o in parts]
-    pairs = [p[o[c:, None, None], cols[c:, None, None]] for p, o in parts]
-    inside = sum(np.count_nonzero(b) for b in core + pairs)
-    if np.count_nonzero(top) + np.count_nonzero(bottom) != inside:
-        return None
-    return max_abs([gram_deviation(*b) for b in (core, pairs) if b[0].size])  # max_abs keeps a NaN
+def _deviation(f: _Dilation) -> float:
+    """max |M^dag M - I| for M = [A; R], the dilation's ancilla-0 columns.
+    A direct sum is an isometry exactly when each summand is, so this forms
+    the core's Gram and checks the pairs' 2 x 1 blocks [p; rs] as one batch."""
+    c = f.a.shape[0]
+    blocks = ((f.a, f.r), (f.p[:, None, None], f.rs[c:, None, None]))
+    return max_abs([gram_deviation(*b) for b in blocks if b[0].size])  # max_abs keeps a NaN
 
 
 def _check_isometry(f: _Dilation, label: str) -> None:
-    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I.  Checked
-    elementwise for a diagonal A, over the core's Gram and one 2 x 1 block
-    per pair when A splits (`_block_deviation`), else, or when an entry
-    outside those blocks is nonzero, by the two dense Grams."""
-    if f.a.ndim == 1:
-        dev = max_abs(np.abs(f.a) ** 2 + f.r**2 - 1.0)
-    else:
-        dev = None if f.rows is None else _block_deviation(f.a, f.r, f.rows, f.cols, f.c)
-        if dev is None:
-            dev = gram_deviation(f.a, f.r)
+    """[A; R] must have orthonormal columns: A^dag A + R^dag R = I."""
+    dev = _deviation(f)
     if not dev <= UNITARY_TOL:
         raise EncodingError(f"{label}: dilation columns deviate from an isometry by {dev:.3e}")
 
 
-def _write_dilation(x: np.ndarray, a: np.ndarray, r: np.ndarray, a_out: np.ndarray, r_out: np.ndarray) -> None:
-    """Write X A^T into a_out and X R^T into r_out, where X holds the register
-    as rows over the base index (a diagonal A comes as its diagonal)."""
-    if a.ndim == 1:
-        np.multiply(x, a, out=a_out)
-        np.multiply(x, r, out=r_out)
-    else:
-        np.matmul(x, a.T, out=a_out)
-        np.matmul(x, r.T, out=r_out)
+def _write_dilation(x: np.ndarray, f: _Dilation, scale: float, a_out: np.ndarray, r_out: np.ndarray) -> None:
+    """Write scale * X (A/alpha)^T into a_out and scale * X R^T into r_out,
+    where X holds the register as rows over the base index: the core as one
+    product, the pairs elementwise, gathered and scattered through A's
+    orders only when they are not the identity."""
+    c = f.a.shape[0]
+    a, r, p, rs = scale * f.a, scale * f.r, scale * f.p, scale * f.rs[c:]
+    if f.rows is None:  # all core or all pairs
+        if c:
+            np.matmul(x, a.T, out=a_out)
+            np.matmul(x, r.T, out=r_out)
+        else:
+            np.multiply(x, p, out=a_out)
+            np.multiply(x, rs, out=r_out)
+        return
+    rows, cols = f.rows, f.cols
+    core_x, pair_x = x[:, cols[:c]], x[:, cols[c:]]
+    a_out[:, rows[:c]] = core_x @ a.T
+    r_out[:, cols[:c]] = core_x @ r.T
+    a_out[:, rows[c:]] = pair_x * p
+    r_out[:, cols[c:]] = pair_x * rs
 
 
 def block_encode(a) -> BlockEncoding:

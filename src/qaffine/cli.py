@@ -29,7 +29,7 @@ from .apps import (
     signal_filter,
 )
 from .baseline import build_augmented, run_augmented
-from .errors import CapacityError, QAffineError, SchemaError
+from .errors import CapacityError, InvalidInputError, QAffineError, SchemaError, ShapeError
 from .linalg import max_abs
 from .pipeline import (
     AffineSequence,
@@ -120,7 +120,7 @@ def parse_problem(path: str | Path) -> tuple[AffineSequence, str]:
         raise SchemaError(f"'mode' must be one of {MODES}, got {mode!r}")
     try:
         seq = AffineSequence(n, psi, tuple(AffineStep(a, b) for a, b in steps))
-    except QAffineError as exc:
+    except (ShapeError, InvalidInputError) as exc:
         raise SchemaError(f"problem file dimensions are inconsistent: {exc}") from exc
     return seq, mode
 

@@ -18,9 +18,10 @@ all add/sub ancillas 0 carries (result)_i / 2^k.  A step's weight w in
 The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 2N x 2N dilation ever act: the stage writes [A psi ; R psi] with
 R = sqrt(I - A^dag A), from the one factorization of A that every route
-shares (`blockenc._factor`: one eigendecomposition of the coupled core's
-Gram, or O(N) for a diagonal A).  The 2N x 2N unitary is built only for
-physical mode's gate witness, from the same factorization.
+shares (`blockenc._factor`: A's direct-sum blocks, one eigendecomposition of
+the coupled core's Gram and O(N) for the singular pairs).  The stage reads
+those blocks as they are; the 2N x 2N unitary is built only for physical
+mode's gate witness, from the same factorization.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
@@ -54,7 +55,7 @@ from .errors import (
     NormalizationError,
     ShapeError,
 )
-from .linalg import UNIT_NORM_TOL, as_matrix, as_vector, check_unit_norm, state_preparation
+from .linalg import as_matrix, as_vector, check_unit_norm, state_preparation
 from .simulator import MAX_QUBITS, QuantumState, _check_normalized
 
 CONTRACTION_TOL = 1e-10
@@ -64,8 +65,9 @@ UNIT_ROUNDING_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class AffineStep:
     """One stage x -> A x + weight * B.  B = None marks a zero translation.
-    A B whose norm lies within UNIT_NORM_TOL of 1 is stored as the unit
-    vector B / |B|.  The weight lies in [-1, 1]: the stage folds in
+    B must be a unit vector within UNIT_NORM_TOL (else NormalizationError);
+    one off by more than rounding is stored as B / |B|.  The weight lies in
+    [-1, 1] (else NormalizationError): the stage folds in
     weight * B / 2^(j-1) with a residual that keeps b~ a unit vector."""
 
     A: np.ndarray
@@ -83,8 +85,8 @@ class AffineStep:
                 raise ShapeError(
                     f"translation length {b.shape[0]} != matrix dimension {a.shape[0]}"
                 )
-            nrm = float(np.linalg.norm(b))
-            if UNIT_ROUNDING_TOL < abs(nrm - 1.0) <= UNIT_NORM_TOL:
+            nrm = check_unit_norm(b, "translation")
+            if abs(nrm - 1.0) > UNIT_ROUNDING_TOL:
                 # the pipeline folds an accepted translation in as b / |b|;
                 # store that, so the classical reference and the baseline
                 # read the same B.  A norm within UNIT_ROUNDING_TOL of 1 is
@@ -160,8 +162,8 @@ def _translation_support(b, step_index: int, weight: float) -> tuple[np.ndarray,
     if b is None:
         return np.zeros(0, dtype=np.complex128), 1.0
     scale = weight / 2 ** (step_index - 1)
-    # B is renormalized, so the residual is exact from the scale alone
-    return b / check_unit_norm(b, "translation") * scale, float(np.sqrt(1.0 - scale**2))
+    # B is a unit vector (AffineStep), so the residual is exact from the scale alone
+    return b / np.linalg.norm(b) * scale, float(np.sqrt(1.0 - scale**2))
 
 
 def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = None) -> _Dilation:
@@ -186,14 +188,14 @@ def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = No
     return f
 
 
-def _stage(buf: np.ndarray, d: int, a: np.ndarray, r: np.ndarray, head: np.ndarray, residual: float) -> None:
+def _stage(buf: np.ndarray, d: int, f: _Dilation, head: np.ndarray, residual: float) -> None:
     """One abstract stage in place, laid out as the module docstring says:
     rewrite buf[:4d] from the register in buf[:d], given the checked
-    dilation blocks and b~ on its support.  Both add/sub halves start as
+    factorization and b~ on its support.  Both add/sub halves start as
     phi/2, for phi = [X A^T ; X R^T]; `_fold` adds +-b~/2."""
-    x = buf[:d].reshape(-1, a.shape[0])
+    x = buf[:d].reshape(-1, f.rs.shape[0])
     a_half, r_half = buf[2 * d : 3 * d], buf[d : 2 * d]
-    _write_dilation(x, 0.5 * a, 0.5 * r, a_half.reshape(x.shape), r_half.reshape(x.shape))
+    _write_dilation(x, f, 0.5, a_half.reshape(x.shape), r_half.reshape(x.shape))
     _check_normalized(buf[d : 3 * d], scale=2.0)
     buf[:d] = a_half
     buf[3 * d : 4 * d] = r_half
@@ -226,7 +228,7 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     for j, step in enumerate(seq.steps, start=1):
         f = _step_dilation(step.A, j, witness)
         head, resid = _translation_support(step.B, j, step.weight)
-        _stage(buf, d, f.a, f.r, head, resid)
+        _stage(buf, d, f, head, resid)
         if witness is not None:
             b_tilde = np.zeros(2 * d, dtype=np.complex128)
             b_tilde[: head.shape[0]] = head

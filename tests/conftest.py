@@ -86,11 +86,19 @@ def embed_controlled_oracle(u: np.ndarray, targets, controls, values, q: int) ->
 
 
 def nan_at_largest(r: np.ndarray) -> np.ndarray:
-    """A copy of a residual block with a NaN at its largest entry, so inside
-    the direct-sum blocks of a factorization that splits."""
+    """A copy of a residual block with a NaN at its largest entry."""
     r = r.copy()
     r.flat[np.argmax(np.abs(r))] = np.nan
     return r
+
+
+def broken_residual(f, broken):
+    """A factorization with its residual broken where the block format keeps
+    it: the core's block R, or the pairs' residuals rs when there is no core
+    (a diagonal A, a phased permutation)."""
+    if f.r.size:
+        return f._replace(r=broken(f.r))
+    return f._replace(rs=broken(f.rs))
 
 
 def count_calls(monkeypatch, name: str) -> list:

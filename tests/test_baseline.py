@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import count_calls, nan_at_largest, random_contraction, random_state_vector
+from conftest import broken_residual, count_calls, nan_at_largest, random_contraction, random_state_vector
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES, off_by
@@ -152,8 +152,10 @@ def test_build_augmented_checks_only_the_core_gram(monkeypatch):
 
 
 def test_broken_factorization_raises_encoding_error(monkeypatch):
-    # a factorization whose residual block R~ is zeroed, or holds a NaN,
-    # fails the isometry check in build_augmented, before any U exists
+    # a factorization whose residual is zeroed, or holds a NaN, where the
+    # block format keeps it (the core's R~; the pairs' rs for the diagonal
+    # A~ of a zero B) fails the isometry check in build_augmented, before
+    # any U exists
     import qaffine.baseline
 
     factor = qaffine.baseline._factor
@@ -164,7 +166,7 @@ def test_broken_factorization_raises_encoding_error(monkeypatch):
         (random_contraction(rng, 4), random_state_vector(rng, 4)),
     )
     for broken in (np.zeros_like, nan_at_largest):
-        monkeypatch.setattr(qaffine.baseline, "_factor", lambda m: (f := factor(m))._replace(r=broken(f.r)))
+        monkeypatch.setattr(qaffine.baseline, "_factor", lambda m: broken_residual(factor(m), broken))
         for a, b in cases:
             with pytest.raises(EncodingError):
                 build_augmented(a, b, np.eye(len(b))[0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_contraction, random_state_vector, random_unitary
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES
 
@@ -15,7 +15,7 @@ from qaffine import (
     build_augmented,
     is_unitary,
 )
-from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _block_deviation, _check_isometry, _factor
+from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _check_isometry, _deviation, _factor, _write_dilation
 from qaffine.linalg import gram_deviation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -256,7 +256,7 @@ def test_gram_route_at_singular_value_edges(n, pairs, unit_top, scale, seed):
     f = _factor(a)
     assert (f.alpha == 1.0) == (scale == 1.0)
     _check_isometry(f, "step 1")
-    assert gram_deviation(f.a, f.r) <= 1e-12
+    assert _deviation(f) <= 1e-12
     enc = f.encoding()
     assert gram_deviation(enc.U) <= 1e-12
     assert np.array_equal(enc.U[:n, :n], a / f.alpha)
@@ -288,12 +288,6 @@ def dense_deviation(m):
     return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])))
 
 
-def block_labels(order, c):
-    """The block of each index: 0 for the core, k + 1 for pair k."""
-    pos = np.argsort(order)
-    return np.where(pos < c, 0, pos - c + 1)
-
-
 @given(
     kind=st.sampled_from(sorted(BLOCK_KINDS)),
     n=st.integers(1, 4),
@@ -303,37 +297,57 @@ def block_labels(order, c):
 )
 def test_block_check_decides_as_the_dense_check(kind, n, scale, stretch, seed):
     # [A; R], scaled by 1 + stretch to move the deviation across the
-    # tolerance, checked block by block and whole; then, and U too, with a
-    # nonzero planted outside the blocks: [A; R] leaves the decision to the
-    # dense check, and U, checked whole, is refused exactly when the dense
-    # check refuses it
+    # tolerance, checked block by block and as the dense [A; R] that U
+    # holds in its first N columns (U itself is checked whole)
     rng = np.random.default_rng(seed)
     f = _factor(scale * BLOCK_KINDS[kind](rng, 1 << n))
-    assume(f.rows is not None)
-    rows, cols, c = f.rows, f.cols, f.c
-    dim = rows.shape[0]
-    a, r = (np.diag(f.a), np.diag(f.r)) if f.a.ndim == 1 else (f.a, f.r)
-    m = np.vstack([a, r]) * (1.0 + stretch)
-    dense = dense_deviation(m)
-    block = _block_deviation(m[:dim], m[dim:], rows, cols, c)
+    dim = f.rs.shape[0]
+    k = 1.0 + stretch
+    dense = dense_deviation(f.encoding().U[:, :dim] * k)
+    g = f._replace(a=k * f.a, r=k * f.r, p=k * f.p, rs=k * f.rs)
+    block = _deviation(g)
     assert abs(block - dense) <= 1e-15
     assert (block <= UNITARY_TOL) == (dense <= UNITARY_TOL)
-    lr, lc = block_labels(rows, c), block_labels(cols, c)
-    cases = ((m, lc), (f.encoding().U * (1.0 + stretch), np.concatenate([lc, lr])))
-    for m, col_labels in cases:
-        outside = np.argwhere(np.concatenate([lr, lc])[:, None] != col_labels[None, :])
-        i, j = outside[rng.integers(len(outside))]
-        for planted in (1e-14, 1e-3):
-            mp = m.copy()
-            mp[i, j] = planted
-            refused = dense_deviation(mp) > UNITARY_TOL
-            try:
-                if mp.shape[1] > dim:
-                    BlockEncoding(mp, f.alpha)
-                else:
-                    assert _block_deviation(mp[:dim], mp[dim:], rows, cols, c) is None
-                    _check_isometry(f._replace(a=mp[:dim], r=mp[dim:]), "step 1")
-            except EncodingError:
-                assert refused
-            else:
-                assert not refused
+    try:
+        _check_isometry(g, "step 1")
+    except EncodingError:
+        assert dense > UNITARY_TOL
+    else:
+        assert dense <= UNITARY_TOL
+
+
+# --- the block-by-block write of [A; R] against the dense products -----------
+
+
+@given(
+    n=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    scale=st.sampled_from([0.5, 1.0, 2.5]),
+    half=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_dilation_matches_the_dense_products(n, batch, scale, half, seed):
+    # every kind in every example: the core as one product and the pairs
+    # elementwise, through A's row and column orders, against X (A/alpha)^T
+    # and X R^T of the dense blocks U holds.  A dense A (all core) and a
+    # diagonal A (all pairs) run the very products of the dense route, on
+    # A/alpha as given, and match it exactly
+    rng = np.random.default_rng(seed)
+    w = 0.5 if half else 1.0
+    for kind, make in sorted({**MATRICES, **BLOCK_KINDS}.items()):
+        m = scale * make(rng, 1 << n)
+        f = _factor(m)
+        dim = f.rs.shape[0]
+        u = f.encoding().U
+        dense_a, dense_r = w * np.ascontiguousarray(u[:dim, :dim]), w * np.ascontiguousarray(u[dim:, :dim])
+        x = np.array([random_state_vector(rng, dim) for _ in range(batch)])
+        a_out, r_out = np.empty_like(x), np.empty_like(x)
+        _write_dilation(x, f, w, a_out, r_out)
+        assert np.max(np.abs(a_out - x @ dense_a.T)) <= 1e-15, kind
+        assert np.max(np.abs(r_out - x @ dense_r.T)) <= 1e-15, kind
+        a = w * (m if f.alpha == 1.0 else m / f.alpha)
+        if f.rows is None and f.p.size == 0:
+            assert np.array_equal(a_out, x @ a.T) and np.array_equal(r_out, x @ dense_r.T), kind
+        elif f.rows is None:
+            assert np.array_equal(a_out, x * np.diagonal(a)), kind
+            assert np.array_equal(r_out, x * np.diagonal(dense_r)), kind

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,18 @@ def test_baseline_matches_run_extraction(tmp_path):
     with open(out_b / "result.json") as fh:
         base_vals = np.array([complex(re, im) for re, im in json.load(fh)["extracted"]])
     assert np.max(np.abs(run_vals - base_vals)) <= 1e-9
+
+
+def test_off_norm_translation_exits_3_on_every_command(tmp_path, capsys):
+    # |B| = 1.1 is refused once, where the step is built, as a
+    # normalization error: run, baseline and gates compare all exit 3
+    path = simple_problem(tmp_path, n=2)
+    payload = json.loads(Path(path).read_text())
+    payload["steps"][0]["B"] = [[1.1 * re, 1.1 * im] for re, im in payload["steps"][0]["B"]]
+    problem = write_problem(tmp_path / "off_norm.json", payload)
+    for argv in (["run"], ["baseline"], ["gates", "compare"]):
+        assert main([*argv, problem, "--out-dir", str(tmp_path / argv[0])]) == 3
+        assert "normalization: translation norm" in capsys.readouterr().err
 
 
 # --- gates compare ----------------------------------------------------------------

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import count_calls, nan_at_largest, random_contraction, random_real_unit, random_state_vector
+from conftest import broken_residual, count_calls, nan_at_largest, random_contraction, random_real_unit, random_state_vector
 
 from qaffine import (
     AffineSequence,
@@ -84,12 +84,10 @@ def test_rescale_always_unit_norm():
 
 
 def test_rescale_validation():
-    # B and the weight are checked at the boundary: an off-norm B when the
-    # sequence runs, a weight outside [-1, 1] (or NaN) when the step is built
-    seq = AffineSequence(1, [1.0, 0.0], (AffineStep(np.eye(2), [1.0, 1.0]),))
-    for mode in ("abstract", "physical"):
-        with pytest.raises(NormalizationError):
-            run_pipeline(seq, mode)
+    # B and the weight are checked once, at the boundary, when the step is
+    # built: an off-norm B, a weight outside [-1, 1] (or NaN)
+    with pytest.raises(NormalizationError):
+        AffineStep(np.eye(2), [1.0, 1.0])
     for weight in (1.5, np.nan):
         with pytest.raises(NormalizationError):
             AffineStep(np.eye(2), [1.0, 0.0], weight)
@@ -349,9 +347,8 @@ def test_contraction_slack_is_rescaled_not_rejected():
 
 
 def test_unnormalized_translation_rejected():
-    seq = AffineSequence(1, [1.0, 0.0], (AffineStep(np.eye(2), [2.0, 0.0]),))
     with pytest.raises(NormalizationError):
-        run_pipeline(seq)
+        AffineStep(np.eye(2), [2.0, 0.0])
 
 
 def test_capacity_limit():
@@ -468,17 +465,38 @@ def test_diagonal_step_needs_no_svd(monkeypatch):
             assert np.max(np.abs(got - (a @ psi + b))) <= 1e-12
 
 
+def test_split_step_allocates_no_n_by_n_array():
+    # a 1024 x 1024 phased permutation is all singular pairs: factoring,
+    # checking and writing its stage hold O(N) blocks, so an abstract run's
+    # traced peak stays below a quarter of A's bytes (the largest arrays are
+    # `_split`'s one-byte masks of A's nonzeros)
+    rng = np.random.default_rng(81)
+    dim = 1024
+    a = np.diag(0.9 * np.exp(2j * np.pi * rng.uniform(size=dim)))[rng.permutation(dim)]
+    seq = AffineSequence(10, random_state_vector(rng, dim), (AffineStep(a, random_state_vector(rng, dim)),))
+    run_pipeline(seq)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        res = run_pipeline(seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
+    assert np.max(np.abs(extract_result(res) - classical_affine_compose(seq))) <= 1e-12
+
+
 def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
-    # a factorization whose residual block R is zeroed, or holds a NaN (which
-    # a `dev > tol` guard passes): the abstract stage fails its isometry
-    # check on the split, diagonal and dense routes, the physical stage the
+    # a factorization whose residual is zeroed, or holds a NaN (which a
+    # `dev > tol` guard passes), where the block format keeps it: the pairs'
+    # rs of a phased permutation and a diagonal, the core's R of a dense A.
+    # The abstract stage fails its isometry check, the physical stage the
     # unitarity check of the U it builds from the same factorization
     import qaffine.pipeline
 
     factor = qaffine.pipeline._factor
     dense = random_contraction(np.random.default_rng(79), 2)
     for broken in (np.zeros_like, nan_at_largest):
-        monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: (f := factor(m))._replace(r=broken(f.r)))
+        monkeypatch.setattr(qaffine.pipeline, "_factor", lambda m: broken_residual(factor(m), broken))
         for a in (0.5 * X, 0.5 * np.eye(2), dense):
             seq = AffineSequence(1, [1.0, 0.0], (AffineStep(a),))
             with pytest.raises(EncodingError):

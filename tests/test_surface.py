@@ -2,8 +2,9 @@
 package module defines, has a user besides its own unit tests: a package
 module other than `__init__`, or the acceptance criteria.  Only `synthesis`
 imports scipy, and only a use of one of its names loads it.  One call site
-factors every dilation, one kernel applies every gate, one entry runs every
-pipeline stage, and one replay checks every gate witness."""
+factors every dilation and one writes its blocks out densely, one kernel
+applies every gate, one entry runs every pipeline stage, and one replay
+checks every gate witness."""
 
 import ast
 import os
@@ -108,6 +109,15 @@ def test_one_factorization_site():
     # every route (abstract and physical stages, the baseline, block_encode)
     # takes its dilation from `blockenc._factor`'s one eigendecomposition
     assert _calls_named({"eigh", "svd"}) == [("blockenc", "_factor", "np.linalg.eigh")]
+
+
+def test_one_densification_site():
+    # a dilation keeps only A's direct-sum blocks: `_Dilation.encoding`
+    # alone writes them out densely, to build U, and neither the check of
+    # [A; R] nor the stage write counts nonzeros to rediscover the split
+    assert _calls_named({"_dense"}) == [("blockenc", "encoding", "_dense")]
+    counts = _calls_named({"count_nonzero"})
+    assert [site for site in counts if site[1] in ("_check_isometry", "_deviation", "_write_dilation")] == []
 
 
 def test_one_gate_kernel():
