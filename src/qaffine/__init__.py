@@ -79,7 +79,6 @@ from .simulator import (
     apply_unitary,
     init_amplitudes,
     init_basis,
-    prepend_ancilla,
     sample,
 )
 

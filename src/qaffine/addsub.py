@@ -12,15 +12,19 @@ operand and supports two modes:
   directly into the new register; no gate kernel runs.  `_fold` writes
   them: both halves start as phi/2 and take +-b~/2 on b~'s support only.
   The abstract pipeline stage runs the same fold on its own buffer.
-* "physical": the same state is reached by gates alone.  The caller supplies
-  the circuit that prepared |phi> from |0...0>; controlled on the new
-  ancilla, that circuit is uncomputed and a preparation of b~ is applied (a
-  linear-combination-of-unitaries construction), between the two Hadamards.
-  The circuit is first replayed to check that it does prepare |phi>.
+* "physical": the register is folded as in abstract mode, and the state is
+  certified to be reachable by gates alone.  The caller supplies the circuit
+  that prepared |phi> from |0...0>; the stage's gates (`addsub_stage_gates`)
+  uncompute that circuit controlled on the new ancilla and apply a
+  preparation of b~ (a linear-combination-of-unitaries construction),
+  between the two Hadamards.  The circuit extended by these gates is
+  replayed once (`_check_witness`) and must prepare the folded register, so
+  the replay checks the stage gates as well as the caller's circuit.
 
-Both modes agree to numerical precision; "physical" exists to certify that
-the abstract shortcut is realizable with gates.  The physical pipeline runs
-the abstract stages and checks its whole witness once (`_check_witness`).
+Both modes return the same register bit for bit; "physical" exists to
+certify that the abstract shortcut is realizable with gates.  The physical
+pipeline runs the abstract stages and checks its whole witness once, in the
+same way.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .circuits import (
     HADAMARD,
     Gate,
     GateList,
-    apply_gates,
     block,
     inverted,
     run_gatelist,
@@ -142,18 +145,16 @@ def hadamard_addsub_inplace(
     (phi_i + b~_i)/2 lands on the ancilla=0 half, (phi_i - b~_i)/2 on the
     ancilla=1 half.
 
-    In physical mode the stage's gates are appended to circuit_so_far, which
-    then prepares the returned state (its qubit count grows by one)."""
+    Physical mode folds the register as abstract mode does, then replays
+    circuit_so_far extended by the stage's gates once: it must prepare the
+    folded register within WITNESS_TOL, else PreconditionError.  Only then
+    are the gates appended to circuit_so_far (its qubit count grows by one),
+    so a failed call leaves it as it was."""
     b = _unit(b_tilde, "b_tilde")
     if b.shape[0] != state.dim:
         raise ShapeError(f"b_tilde length {b.shape[0]} != register dimension {state.dim}")
-    if mode == "abstract":
-        d = state.dim
-        buf = np.empty(2 * d, dtype=np.complex128)
-        np.multiply(state.amplitudes, 0.5, out=buf[:d])
-        buf[d:] = buf[:d]
-        _fold(buf, d, b)
-        return QuantumState(state.num_qubits + 1, buf)
+    if mode not in ("abstract", "physical"):
+        raise InvalidInputError(f"unknown add/sub mode {mode!r}")
     if mode == "physical":
         if circuit_so_far is None:
             raise MissingWitnessError("physical mode requires the preparing circuit")
@@ -162,10 +163,14 @@ def hadamard_addsub_inplace(
                 f"witness is on {circuit_so_far.qubit_count} qubits, "
                 f"state has {state.num_qubits}"
             )
-        _check_witness(circuit_so_far, state.amplitudes)
+    d = state.dim
+    buf = np.empty(2 * d, dtype=np.complex128)
+    np.multiply(state.amplitudes, 0.5, out=buf[:d])
+    buf[d:] = buf[:d]
+    _fold(buf, d, b)
+    if mode == "physical":
         gates = addsub_stage_gates(b, circuit_so_far)
-        st = apply_gates(simulator.prepend_ancilla(state), gates)
+        _check_witness(GateList(state.num_qubits + 1, circuit_so_far.gates + gates), buf)
         circuit_so_far.qubit_count += 1
         circuit_so_far.gates.extend(gates)
-        return st
-    raise InvalidInputError(f"unknown add/sub mode {mode!r}")
+    return QuantumState(state.num_qubits + 1, buf)

@@ -50,11 +50,10 @@ ONE_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
-    """A dilation U of A/alpha, A being U's top-left block of dimension
-    block_dim, half U's side.  U is checked whole for unitarity (within
-    UNITARY_TOL) once, here, and kept as a read-only copy, so gates can run
-    it without checking it again; alpha, which scales the block back to A,
-    must be finite and > 0."""
+    """A dilation U of A/alpha, A being U's top-left block, half U's side.
+    U is checked whole for unitarity (within UNITARY_TOL) once, here, and
+    kept as a read-only copy, so gates can run it without checking it again;
+    alpha, which scales the block back to A, must be finite and > 0."""
 
     U: np.ndarray
     alpha: float
@@ -69,10 +68,6 @@ class BlockEncoding:
             raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
         u.flags.writeable = False
         object.__setattr__(self, "U", u)
-
-    @property
-    def block_dim(self) -> int:
-        return self.U.shape[0] // 2
 
 
 class _Dilation(NamedTuple):
@@ -131,7 +126,7 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     included, is square."""
     nz = m != 0
     pair_rows = np.flatnonzero(np.count_nonzero(nz, axis=1) == 1)
-    pair_cols = nz[pair_rows].argmax(axis=1)
+    pair_cols = nz.argmax(axis=1)[pair_rows]
     alone = np.count_nonzero(nz, axis=0)[pair_cols] == 1
     if not alone.any():
         return None

@@ -11,29 +11,27 @@ A gate carries a dense 2^t x 2^t matrix, or, for a block, a
 simulator applies through `@` in O(2^t) per column and `dagger` inverts by
 its `adjoint`.  Only lowering and `gatelist_matrix` densify it.
 
-Gate matrices are checked once, when `single` or `block` builds the gate
-(shape, and unitarity within 1e-9 by a dense product for a matrix).  `block`
-also takes a Reflector or a checked `blockenc.BlockEncoding`, whose unitarity
-was checked when it was built (in O(d) for a Reflector, at 1e-10 for a
-dilation), and keeps their read-only data.  Gates derived from built gates
-(`dagger`, `with_control`, lowering) are unitary by construction, so running
-a program checks the output norm but not unitarity again.  Qubit indices and
-control values must be integers.  `block` and `with_control` refuse a
-qubit used twice and a control value that is not a bit when they build the
-gate; the register width is checked once per distinct layout, whether a
-program is run or multiplied out (`gatelist_matrix`).
+`Gate` lives next to the kernel, in `simulator`, and is re-exported here.
+Building one is its only check (wiring, shape, and unitarity within 1e-9 by
+a dense product for a matrix; a Reflector or a checked
+`blockenc.BlockEncoding` is trusted by its type), so `single` and `block`
+only build a gate.  Gates made from built gates (`dagger`, `with_control`,
+`cnot` from one checked X, lowering's relabelling) keep the checked matrix
+and check only their new wiring.  Running a program checks the output norm
+and, once per distinct layout, the register width, whether the program is
+run or multiplied out (`gatelist_matrix`), but not unitarity again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import simulator
-from .errors import InvalidInputError
 from .linalg import Reflector
-from .simulator import QuantumState, _apply, _apply_gate, _as_ints, _check_wires, _validated_gate
+from .simulator import Gate, QuantumState, _apply, _apply_gate
 
 SQRT2 = np.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / SQRT2
@@ -47,31 +45,25 @@ def phase_gate(theta: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
-    kind: str  # "single" | "cnot" | "block"
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-    control_values: tuple[int, ...] = ()
-    matrix: np.ndarray | Reflector | None = None
-
-
 def single(matrix, target: int) -> Gate:
-    return Gate("single", _as_ints((target,)), matrix=_validated_gate(matrix, 1))
-
-
-def cnot(control: int, target: int) -> Gate:
-    c, t = _as_ints((control, target))
-    if c == t:
-        raise InvalidInputError("cnot control and target must differ")
-    return Gate("cnot", (t,), (c,), (1,), PAULI_X)
+    return Gate("single", (target,), matrix=matrix)
 
 
 def block(matrix, targets, controls=(), control_values=()) -> Gate:
-    ts, cs = _as_ints(targets), _as_ints(controls)
-    vs = _as_ints(control_values, InvalidInputError, "control values")
-    _check_wires(ts, cs, vs)
-    return Gate("block", ts, cs, vs, _validated_gate(matrix, len(ts)))
+    return Gate("block", targets, controls, control_values, matrix)
+
+
+@functools.cache
+def _x() -> Gate:
+    """The one checked X every cnot carries.  It is built on first use, so
+    that importing the package runs no BLAS product: the first one allocates
+    BLAS buffers, and doing that at import made perfbench's `deep` ops,
+    which build no gate, about 9% slower (2-core Xeon VM)."""
+    return single(PAULI_X, 0)
+
+
+def cnot(control: int, target: int) -> Gate:
+    return _x()._derive("cnot", ((target,), (control,), (1,)))
 
 
 @dataclass(eq=False)
@@ -79,14 +71,14 @@ class GateList:
     qubit_count: int
     gates: list[Gate] = field(default_factory=list)
 
-    def copy(self) -> "GateList":
-        return GateList(self.qubit_count, list(self.gates))
-
 
 def dagger(g: Gate) -> Gate:
     m = g.matrix
-    adj = m.adjoint() if isinstance(m, Reflector) else m.conj().T
-    return Gate(g.kind, g.targets, g.controls, g.control_values, adj)
+    if isinstance(m, Reflector):
+        return g._derive(g.kind, matrix=m.adjoint())
+    adj = m.conj().T
+    adj.flags.writeable = False
+    return g._derive(g.kind, matrix=adj)
 
 
 def inverted(gates) -> list[Gate]:
@@ -95,15 +87,11 @@ def inverted(gates) -> list[Gate]:
 
 def with_control(g: Gate, control: int, value: int = 1) -> Gate:
     """Same gate with one more (anti-)control attached."""
-    (control,) = _as_ints((control,))
-    (value,) = _as_ints((value,), InvalidInputError, "control values")
-    controls, values = g.controls + (control,), g.control_values + (value,)
-    _check_wires(g.targets, controls, values)
-    return Gate("block", g.targets, controls, values, g.matrix)
+    return g._derive("block", (g.targets, g.controls + (control,), g.control_values + (value,)))
 
 
 def apply_gate(state: QuantumState, g: Gate) -> QuantumState:
-    return _apply_gate(state, g.matrix, g.targets, g.controls, g.control_values)
+    return _apply_gate(state, g)
 
 
 def apply_gates(state: QuantumState, gates) -> QuantumState:
@@ -123,5 +111,5 @@ def gatelist_matrix(gl: GateList) -> np.ndarray:
     q = gl.qubit_count
     mat = np.eye(1 << q, dtype=np.complex128)
     for g in gl.gates:
-        mat = _apply(mat, q, g.matrix, g.targets, g.controls, g.control_values)
+        mat = _apply(mat, q, g)
     return mat

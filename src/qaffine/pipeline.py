@@ -138,20 +138,6 @@ class PipelineResult:
     result_indices: np.ndarray
     circuit: GateList | None = None
 
-    def branch_indices(self, bits) -> np.ndarray:
-        """Basis indices of the branch selected by the add/sub ancilla bits
-        (b_1, ..., b_k); bit 1 selects the difference half of that step."""
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.k:
-            raise ShapeError(f"expected {self.k} branch bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
-            raise InvalidInputError(f"branch bits must be 0/1, got {bits}")
-        n = self.result_indices.size.bit_length() - 1
-        offset = 0
-        for j, b in enumerate(bits, start=1):
-            offset += b << (n + 2 * j - 1)
-        return offset + np.arange(self.result_indices.size)
-
 
 def _translation_support(b, step_index: int, weight: float) -> tuple[np.ndarray, float]:
     """The nonzero entries of step j's b~: the head weight * beta / 2^(j-1),

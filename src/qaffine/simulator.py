@@ -15,11 +15,16 @@ Conventions used throughout the package:
 * Sampling draws one uniform variate per shot from numpy's default_rng (PCG64,
   a seedable 64-bit generator) and inverts the cumulative distribution of
   |amplitude|^2, so histograms are reproducible for a fixed seed.
-* One kernel, `_apply`, runs every gate on a transposed view of a state or
-  of a matrix's columns.  `_layout` checks and caches each distinct qubit
-  layout once.  Qubit indices and control values must be integers.
-* A gate matrix is a dense array or a `linalg.Reflector`; the kernel applies
-  either through `@`, so a reflector costs O(d) per column, not O(d^2).
+* A `Gate` checks itself once, when it is built: integer qubit indices, no
+  qubit used twice, control values that are bits, and a matrix of the right
+  shape that is unitary (a dense matrix) or was checked when it was built
+  (a `linalg.Reflector`, a `blockenc.BlockEncoding`).  Gates made from a
+  built gate (`Gate._derive`) keep its checked matrix.
+* One kernel, `_apply`, runs every built gate on a transposed view of a
+  state or of a matrix's columns, without checking it again; `_layout`
+  checks the qubit indices against the register width and caches each
+  distinct layout once.  The kernel applies a dense matrix or a reflector
+  through `@`, so a reflector costs O(d) per column, not O(d^2).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .linalg import UNITARY_ATOL, Reflector, as_matrix, as_vector, check_unit_no
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
-LAYOUT_CACHE_SIZE = 1024  # checked layouts kept; a perfbench `physical` cycle uses 293
+LAYOUT_CACHE_SIZE = 1024  # layouts kept; a perfbench `physical` cycle uses 291
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,15 +105,6 @@ def init_amplitudes(x) -> QuantumState:
     return QuantumState(q, v / check_unit_norm(v, "amplitude vector"))
 
 
-def prepend_ancilla(state: QuantumState) -> QuantumState:
-    """Adjoin one qubit in |0> as the new most significant qubit."""
-    q = state.num_qubits + 1
-    if q > MAX_QUBITS:
-        raise CapacityError(f"qubit count {q} exceeds {MAX_QUBITS}")
-    amps = np.concatenate([state.amplitudes, np.zeros_like(state.amplitudes)])
-    return QuantumState(q, amps)
-
-
 def _as_ints(xs, error=QubitIndexError, label: str = "qubit indices") -> tuple[int, ...]:
     """xs as ints; int() would truncate 0.7, and 1.0 would hit 1's layout."""
     try:
@@ -117,47 +113,91 @@ def _as_ints(xs, error=QubitIndexError, label: str = "qubit indices") -> tuple[i
         raise error(f"{label} must be integers, got {xs!r}") from None
 
 
-def _check_wires(targets: tuple[int, ...], controls: tuple[int, ...], control_values: tuple[int, ...]) -> None:
-    """The checks of a gate's qubits that need no register width: no qubit
-    twice, one bit per control."""
-    for label, idxs in (("targets", targets), ("controls", controls)):
-        if len(set(idxs)) != len(idxs):
-            raise QubitIndexError(f"{label} contains duplicates: {idxs}")
-    if set(targets) & set(controls):
-        raise QubitIndexError(f"targets {targets} and controls {controls} overlap")
-    if len(control_values) != len(controls):
-        raise ShapeError(f"{len(controls)} controls but {len(control_values)} control values")
-    if any(v not in (0, 1) for v in control_values):
-        raise InvalidInputError(f"control values must be bits, got {control_values}")
+def _wires(targets, controls, control_values) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """A gate's wiring, checked as far as it can be without the register
+    width: integer qubit indices, no qubit used twice, one bit per control."""
+    ts, cs = _as_ints(targets), _as_ints(controls)
+    vs = _as_ints(control_values, InvalidInputError, "control values")
+    if len(set(ts + cs)) != len(ts) + len(cs):
+        raise QubitIndexError(f"a qubit is used twice in targets {ts} and controls {cs}")
+    if len(vs) != len(cs):
+        raise ShapeError(f"{len(cs)} controls but {len(vs)} control values")
+    if not {0, 1}.issuperset(vs):
+        raise InvalidInputError(f"control values must be bits, got {vs}")
+    return ts, cs, vs
+
+
+@dataclass(frozen=True, eq=False)
+class Gate:
+    """A unitary on the target qubits (targets[0] is the most significant
+    bit of its local index), applied where the controls carry
+    control_values.
+
+    Building a gate is its one check: the wiring (`_wires`), then the
+    matrix.  A dense matrix must be 2^t x 2^t and unitary within
+    UNITARY_ATOL, and is kept as a read-only copy, so it cannot change after
+    its check.  A Reflector and a BlockEncoding (kept as its U) were checked
+    when they were built and hold read-only data, so only their shape is
+    checked.  The kernel runs a built gate as it is; only the register
+    width is checked there, once per layout."""
+
+    kind: str  # "single" | "cnot" | "block"
+    targets: tuple[int, ...]
+    controls: tuple[int, ...] = ()
+    control_values: tuple[int, ...] = ()
+    matrix: np.ndarray | Reflector | BlockEncoding | None = None
+
+    def __post_init__(self):
+        ts, cs, vs = _wires(self.targets, self.controls, self.control_values)
+        checked = isinstance(self.matrix, (Reflector, BlockEncoding))
+        m = getattr(self.matrix, "U", self.matrix) if checked else as_matrix(self.matrix).copy()
+        if m.shape != (1 << len(ts), 1 << len(ts)):
+            raise ShapeError(f"matrix shape {m.shape} does not act on {len(ts)} qubit(s)")
+        if not checked:
+            if not is_unitary(m, UNITARY_ATOL):
+                raise UnitarityError(f"matrix is not unitary within {UNITARY_ATOL:g}")
+            m.flags.writeable = False
+        vars(self).update(targets=ts, controls=cs, control_values=vs, matrix=m)
+
+    def _derive(self, kind: str, wires=None, matrix=None) -> Gate:
+        """A gate made from this built one: on its wiring or on new `wires`
+        (targets, controls, control values), which alone are checked, and
+        with its checked matrix or `matrix` derived from it (its adjoint),
+        which is not checked again."""
+        ts, cs, vs = (self.targets, self.controls, self.control_values) if wires is None else _wires(*wires)
+        gate = object.__new__(Gate)
+        vars(gate).update(
+            kind=kind, targets=ts, controls=cs, control_values=vs, matrix=self.matrix if matrix is None else matrix
+        )
+        return gate
 
 
 @functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _layout(q: int, targets: tuple[int, ...], controls: tuple[int, ...], control_values: tuple[int, ...]):
-    """The checked layout of a gate on q qubits: the axis order that brings an
-    array of shape [2]*q + [batch] to controls first, then targets, then the
-    other qubits in their order (batch last), its inverse, and the control
-    values.  A call that raises is not cached: a bad layout raises each time."""
+def _layout(q: int, targets: tuple[int, ...], controls: tuple[int, ...]):
+    """The layout of a built gate's wiring on q qubits, its qubit indices
+    checked against q: the axis order that brings an array of shape
+    [2]*q + [batch] to controls first, then targets, then the other qubits
+    in their order (batch last), and its inverse.  A call that raises is not
+    cached: a bad layout raises each time."""
     for label, idxs in (("targets", targets), ("controls", controls)):
         for i in idxs:
             if not 0 <= i < q:
                 raise QubitIndexError(f"{label} index {i} outside [0, {q})")
-    _check_wires(targets, controls, control_values)
     front = [q - 1 - i for i in controls + targets]
     order = tuple(front + [a for a in range(q + 1) if a not in front])
     inverse = tuple(order.index(a) for a in range(q + 1))
-    return order, inverse, control_values
+    return order, inverse
 
 
-def _apply(arr: np.ndarray, q: int, u, targets, controls, control_values) -> np.ndarray:
-    """The gate kernel: apply u (taken as checked) to the target qubits of a
-    register of shape (2**q,) or (2**q, batch), where the controls carry
-    control_values.  An uncontrolled gate holds at most two register-sized
+def _apply(arr: np.ndarray, q: int, g: Gate) -> np.ndarray:
+    """The gate kernel: apply a built gate to a register of shape (2**q,) or
+    (2**q, batch).  An uncontrolled gate holds at most two register-sized
     arrays at once (one if its layout is arr's own order)."""
-    vals = _as_ints(control_values, InvalidInputError, "control values")
-    order, inverse, vals = _layout(q, _as_ints(targets), _as_ints(controls), vals)
+    order, inverse = _layout(q, g.targets, g.controls)
+    vals = g.control_values
     grid = arr.reshape((2,) * q + (-1,))
     block = grid.transpose(order)[vals]
-    new = (u @ block.reshape(1 << len(targets), -1)).reshape(block.shape)
+    new = (g.matrix @ block.reshape(1 << len(g.targets), -1)).reshape(block.shape)
     if not vals:
         return new.transpose(inverse).reshape(arr.shape)
     out = grid.copy()
@@ -165,26 +205,10 @@ def _apply(arr: np.ndarray, q: int, u, targets, controls, control_values) -> np.
     return out.reshape(arr.shape)
 
 
-def _validated_gate(u, t: int) -> np.ndarray | Reflector:
-    """A gate matrix checked for shape and unitarity and kept as a read-only
-    copy, so it cannot change after its check.  A Reflector and a
-    BlockEncoding's U were checked when built and hold read-only data, so
-    only their shape is checked here."""
-    checked = isinstance(u, (Reflector, BlockEncoding))
-    m = getattr(u, "U", u) if checked else as_matrix(u).copy()
-    if m.shape != (1 << t, 1 << t):
-        raise ShapeError(f"matrix shape {m.shape} does not act on {t} qubit(s)")
-    if not checked:
-        if not is_unitary(m, UNITARY_ATOL):
-            raise UnitarityError(f"matrix is not unitary within {UNITARY_ATOL:g}")
-        m.flags.writeable = False
-    return m
-
-
-def _apply_gate(state: QuantumState, m: np.ndarray, targets, controls, control_values) -> QuantumState:
-    """apply_unitary for a matrix checked when its gate was built: the layout
-    and the output norm are checked, unitarity is not."""
-    out = _apply(state.amplitudes, state.num_qubits, m, targets, controls, control_values)
+def _apply_gate(state: QuantumState, g: Gate) -> QuantumState:
+    """Run a built gate on a state; the layout and the output norm are
+    checked, unitarity is not."""
+    out = _apply(state.amplitudes, state.num_qubits, g)
     _check_normalized(out)
     return QuantumState(state.num_qubits, out)
 
@@ -192,12 +216,11 @@ def _apply_gate(state: QuantumState, m: np.ndarray, targets, controls, control_v
 def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=()) -> QuantumState:
     """Apply a 2^t x 2^t unitary to the listed target qubits, only where the
     control qubits carry the given classical values (0 entries make
-    anti-controls).
+    anti-controls): the gate is built, and so checked, first.
 
     targets[0] is the most significant qubit of the matrix's local index.
     """
-    ts = _as_ints(targets)
-    return _apply_gate(state, _validated_gate(u, len(ts)), ts, controls, control_values)
+    return _apply_gate(state, Gate("block", targets, controls, control_values, u))
 
 
 def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:

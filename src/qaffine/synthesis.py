@@ -145,15 +145,8 @@ def lower(gl: GateList) -> GateList:
         to_global = {ql: locals_msb_first[len(locals_msb_first) - 1 - ql]
                      for ql in range(len(locals_msb_first))}
         for sg in sub.gates:
-            out.append(
-                Gate(
-                    sg.kind,
-                    tuple(to_global[x] for x in sg.targets),
-                    tuple(to_global[x] for x in sg.controls),
-                    sg.control_values,
-                    sg.matrix,
-                )
-            )
+            wires = (tuple(to_global[x] for x in sg.targets), tuple(to_global[x] for x in sg.controls), sg.control_values)
+            out.append(sg._derive(sg.kind, wires))
     return GateList(gl.qubit_count, out)
 
 

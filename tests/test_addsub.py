@@ -10,12 +10,15 @@ from qaffine import (
     PreconditionError,
     ShapeError,
     apply_gates,
+    block,
     hadamard_addsub_fresh,
     hadamard_addsub_inplace,
     init_amplitudes,
     init_basis,
+    run_gatelist,
     single,
 )
+from qaffine.linalg import state_preparation
 
 
 def test_fresh_worked_example():
@@ -92,7 +95,10 @@ def test_abstract_and_physical_agree():
         b = random_state_vector(rng, st.dim)
         out_a = hadamard_addsub_inplace(st, b, mode="abstract")
         out_p = hadamard_addsub_inplace(st, b, mode="physical", circuit_so_far=witness)
-        assert np.max(np.abs(out_a.amplitudes - out_p.amplitudes)) <= 1e-12
+        # both modes fold; physical mode also replays the extended witness
+        assert np.array_equal(out_a.amplitudes, out_p.amplitudes)
+        assert witness.qubit_count == n + 1
+        assert np.max(np.abs(run_gatelist(witness).amplitudes - out_p.amplitudes)) <= 1e-12
 
 
 def test_sum_and_diff_halves_reconstruct_operands():
@@ -117,6 +123,28 @@ def test_physical_rejects_stale_witness():
     witness = GateList(1, [])  # prepares |0>, not |1>
     with pytest.raises(PreconditionError):
         hadamard_addsub_inplace(st, [1.0, 0.0], mode="physical", circuit_so_far=witness)
+
+
+def test_failed_physical_call_leaves_the_witness_unchanged(monkeypatch):
+    # a stale witness, or stage gates without their closing Hadamard (they
+    # prepare another state, and the replay checks them before they are
+    # committed): the call raises and the caller's witness stays as it was
+    import qaffine.addsub
+
+    rng = np.random.default_rng(55)
+    st = init_amplitudes(random_state_vector(rng, 4))
+    b = random_state_vector(rng, 4)
+    stale = GateList(2, [])  # it prepares |00>
+    fresh = GateList(2, [block(state_preparation(st.amplitudes), (1, 0))])
+    stage_gates = qaffine.addsub.addsub_stage_gates
+    for witness in (stale, fresh):
+        if witness is fresh:
+            monkeypatch.setattr(qaffine.addsub, "addsub_stage_gates", lambda b, w: stage_gates(b, w)[:-1])
+        gates = list(witness.gates)
+        with pytest.raises(PreconditionError):
+            hadamard_addsub_inplace(st, b, mode="physical", circuit_so_far=witness)
+        assert witness.qubit_count == 2
+        assert witness.gates == gates  # the same Gate objects: gates compare by identity
 
 
 def test_physical_rejects_wrong_width_witness():

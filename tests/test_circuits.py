@@ -135,7 +135,7 @@ def test_apply_gate_unknown_kind_and_shape_errors():
         block(np.eye(4), (0,))
     with pytest.raises(ShapeError):
         block(np.eye(4), (0, 1), (2,), ())
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(QubitIndexError):  # its target is its control
         cnot(1, 1)
 
 
@@ -201,15 +201,19 @@ def test_gatelist_matrix_with_cnots_matches_oracle():
 
 
 def test_gatelist_matrix_checks_indices_as_run_gatelist_does():
-    # a gate on qubit 3 of 2 once wrapped around to qubit 0, and a block
-    # controlled by its own target was multiplied out; `block` now refuses
-    # the latter, so it is built directly
-    for gate in (single(HADAMARD, 3), Gate("block", (0,), (0,), (1,), PAULI_X), Gate("single", (1.0,), matrix=PAULI_X)):
-        gl = GateList(2, [gate])
-        with pytest.raises(QubitIndexError):
-            run_gatelist(gl)
-        with pytest.raises(QubitIndexError):
-            gatelist_matrix(gl)
+    # a gate on qubit 3 of 2 once wrapped around to qubit 0: only the
+    # register width tells, so running and multiplying out both check it
+    gl = GateList(2, [single(HADAMARD, 3)])
+    with pytest.raises(QubitIndexError):
+        run_gatelist(gl)
+    with pytest.raises(QubitIndexError):
+        gatelist_matrix(gl)
+    # a block controlled by its own target and a float index were once
+    # multiplied out when built directly; a gate now refuses them when built
+    with pytest.raises(QubitIndexError):
+        Gate("block", (0,), (0,), (1,), PAULI_X)
+    with pytest.raises(QubitIndexError):
+        Gate("single", (1.0,), matrix=PAULI_X)
 
 
 @pytest.mark.parametrize(
@@ -249,3 +253,28 @@ def test_gate_builders_refuse_non_integral_indices():
     g = block(PAULI_X, (np.int64(1),), (np.int32(0),), (np.uint8(0),))
     assert (g.targets, g.controls, g.control_values) == ((1,), (0,), (0,))
     assert all(type(i) is int for i in g.targets + g.controls + g.control_values)
+
+
+@pytest.mark.parametrize(
+    "matrix, targets, controls, values, error",
+    [
+        (np.diag([1.0, 2.0]), (0,), (), (), UnitarityError),
+        (np.eye(4), (0,), (), (), ShapeError),
+        (PAULI_X, (0.5,), (), (), QubitIndexError),
+        (np.eye(4), (1, 1), (), (), QubitIndexError),
+        (PAULI_X, (0,), (0,), (1,), QubitIndexError),
+        (PAULI_X, (1,), (0,), (2,), InvalidInputError),
+        (PAULI_X, (1,), (0,), (), ShapeError),
+    ],
+    ids=["not-unitary", "wrong-shape", "float-index", "repeated-target", "target-is-control", "value-2", "no-value"],
+)
+def test_a_directly_built_gate_refuses_what_block_refuses(matrix, targets, controls, values, error):
+    # building a Gate is its one check: a direct Gate(...) once ran any
+    # matrix and wiring it carried
+    with pytest.raises(error):
+        block(matrix, targets, controls, values)
+    with pytest.raises(error):
+        Gate("block", targets, controls, values, matrix)
+    if not controls:
+        with pytest.raises(error):
+            Gate("single", targets, matrix=matrix)

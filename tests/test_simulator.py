@@ -24,7 +24,6 @@ from qaffine import (
     gatelist_matrix,
     init_amplitudes,
     init_basis,
-    prepend_ancilla,
     sample,
 )
 from qaffine.linalg import Reflector
@@ -249,15 +248,6 @@ def test_norm_preserved_over_random_circuit():
         u = random_unitary(rng, 2)
         st = apply_unitary(st, u, (int(rng.integers(4)),))
     assert abs(st.norm() - 1.0) <= 1e-12
-
-
-def test_prepend_ancilla():
-    rng = np.random.default_rng(24)
-    psi = random_state_vector(rng, 4)
-    st = prepend_ancilla(init_amplitudes(psi))
-    assert st.num_qubits == 3
-    assert np.max(np.abs(st.amplitudes[:4] - psi)) == 0.0
-    assert np.max(np.abs(st.amplitudes[4:])) == 0.0
 
 
 def test_sample_deterministic_for_seed():

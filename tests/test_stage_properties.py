@@ -3,9 +3,9 @@
 The stage writes the ancilla-0 columns of the dilation directly.  Here
 `run_pipeline` on sequences of one to three weighted steps is compared with
 the route it replaced, applied step by step: the full 2N x 2N `block_encode`
-dilation through `prepend_ancilla` and `apply_unitary`, then the add/sub
-ancilla with a b~ built here from its formula, on the whole register,
-garbage half included.
+dilation through `apply_unitary` on the register padded with an ancilla in
+|0>, then the add/sub ancilla with a b~ built here from its formula, on the
+whole register, garbage half included.
 
 R = sqrt(I - A^dag A) is ill-conditioned at singular values equal to 1: an
 ulp in s moves sqrt(1 - s^2) by about 1.5e-8.  Where a singular value is 1
@@ -32,7 +32,6 @@ from qaffine import (
     classical_affine_compose,
     extract_result,
     init_amplitudes,
-    prepend_ancilla,
     run_pipeline,
 )
 from qaffine.circuits import HADAMARD
@@ -122,7 +121,7 @@ def old_route(state, a, b, step_index, base_n, weight):
         m = m / sigma
     enc = block_encode(m)
     assert enc.alpha == 1.0
-    st_ = prepend_ancilla(state)
+    st_ = QuantumState(state.num_qubits + 1, np.concatenate([state.amplitudes, np.zeros_like(state.amplitudes)]))
     targets = (st_.num_qubits - 1,) + tuple(range(base_n - 1, -1, -1))
     st_ = apply_unitary(st_, enc.U, targets)
     scale = weight / 2 ** (step_index - 1)

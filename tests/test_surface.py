@@ -1,10 +1,11 @@
-"""Every name the package exports, and every public function or class a
-package module defines, has a user besides its own unit tests: a package
-module other than `__init__`, or the acceptance criteria.  Only `synthesis`
-imports scipy, and only a use of one of its names loads it.  One call site
-factors every dilation and one writes its blocks out densely, one kernel
-applies every gate, one entry runs every pipeline stage, and one replay
-checks every gate witness."""
+"""Every name the package exports, every public function or class a package
+module defines, and every public method or property of such a class has a
+user besides its own unit tests: a package module other than `__init__`, or
+the acceptance criteria.  Only `synthesis` imports scipy, and only a use of
+one of its names loads it.  One call site factors every dilation and one
+writes its blocks out densely, one kernel applies every gate, one entry runs
+every pipeline stage, and one replay checks every gate witness.  A gate is
+checked once, where it is built."""
 
 import ast
 import os
@@ -60,14 +61,21 @@ def test_every_export_has_a_user():
 
 
 def test_every_public_definition_has_a_user():
-    defined = {
-        (module.stem, node.name)
-        for module in PACKAGE.glob("*.py")
-        for node in ast.parse(module.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    # module-level functions and classes, and the methods and properties of
+    # public classes, each matched by its name
+    defined = set()
+    for module in PACKAGE.glob("*.py"):
+        for node in ast.parse(module.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add((module.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.update(
+                        (module.stem, f"{node.name}.{method.name}")
+                        for method in node.body
+                        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                    )
     used = _used_names()
-    assert sorted((stem, name) for stem, name in defined if name not in used) == []
+    assert sorted((stem, name) for stem, name in defined if name.split(".")[-1] not in used) == []
 
 
 def _imported_top_level(path: Path) -> set[str]:
@@ -129,6 +137,21 @@ def test_one_gate_kernel():
         ("simulator", "_apply_gate", "_apply"),
     ]
     assert _calls_named({"_layout"}) == [("simulator", "_apply", "_layout")]
+
+
+def test_one_gate_check():
+    # a Gate checks its wiring and matrix once, when it is built, and a gate
+    # made from a built one checks only its new wiring; the kernel runs
+    # built gates, so `_apply` converts no index and `_layout` checks only
+    # the register width.  The other unitarity checks are a dilation's
+    # whole U and the input to `synthesize`
+    assert _calls_named({"is_unitary"}) == [
+        ("blockenc", "__post_init__", "is_unitary"),
+        ("simulator", "__post_init__", "is_unitary"),
+        ("synthesis", "synthesize", "is_unitary"),
+    ]
+    assert _calls_named({"_wires"}) == [("simulator", "__post_init__", "_wires"), ("simulator", "_derive", "_wires")]
+    assert {site[1] for site in _calls_named({"_as_ints"})} == {"_wires"}
 
 
 def test_one_stage_entry():
