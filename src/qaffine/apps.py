@@ -11,22 +11,26 @@ the final amplitude at bits (i_0, ..., i_{m-1}) is the iterated
     amp(bits) = Psi[i_0] / 2^(m-1)
                 + sum_r (-1)^(i_r) * B_r[int(i_{r-1}..i_0)] / 2^(m-r).
 
-Signal filtering: frequency-domain scale-and-bias.  A forward transform
+Signal filtering: frequency-domain gain-and-bias.  A forward transform
 moves the normalized samples to frequency space, one weighted pipeline run
-applies X -> a X + b*v (the step A = a I, B = v a unit bias vector, weight
-b; |a| <= 1, |b| <= 1), and the inverse transform returns to the time
-domain, compared against a plain FFT reference.
+applies X -> g * X + b*v elementwise (the diagonal step A = diag(g), given
+as its diagonal g, B = v a unit bias vector, weight b; |g_i| <= 1,
+|b| <= 1), and the inverse transform returns to the time domain, compared
+against a plain FFT reference.  A scalar scale a is the gain g = a 1.
+The QFT ladder for a given target tuple and direction is built, and its
+gates checked, once per process (`_qft_ladder`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simulator
 from .addsub import hadamard_addsub_inplace
-from .circuits import HADAMARD, SWAP, apply_gates, block, inverted, phase_gate, single
+from .circuits import HADAMARD, SWAP, Gate, apply_gates, block, inverted, phase_gate, single
 from .errors import (
     CapacityError,
     ContractionError,
@@ -36,9 +40,10 @@ from .errors import (
 )
 from .linalg import as_vector, check_unit_norm
 from .pipeline import AffineSequence, AffineStep, run_pipeline
-from .simulator import QuantumState
+from .simulator import QuantumState, _as_ints
 
 MAX_GROUP_LEVELS = 10
+QFT_CACHE_SIZE = 64  # ladders kept, one per (targets, inverse); `apps` perfbench cycles use 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +140,9 @@ def portfolio_estimate(p: PortfolioSpec, shots: int, seed: int) -> dict[tuple[in
     """Empirical branch frequencies from sampling the circuit."""
     state = portfolio_circuit(p)
     hist = simulator.sample(state, shots, seed)
-    freq: dict[tuple[int, ...], float] = {}
-    for index, count in hist.counts.items():
-        bits = tuple((index >> r) & 1 for r in range(p.m))
-        freq[bits] = count / shots
-    return freq
+    index = np.fromiter(hist.counts, dtype=np.int64, count=len(hist.counts))
+    bits = (index[:, None] >> np.arange(p.m)) & 1  # row i: bit r of index i in column r
+    return {tuple(b): count / shots for b, count in zip(bits.tolist(), hist.counts.values())}
 
 
 def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
@@ -148,7 +151,15 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
     bit-reversal swaps folded in, so output indices are in natural order.
     Matrix entries are e^{2 pi i jk / M} / sqrt(M); inverse runs the
     inverted gate list, the adjoint."""
-    ts = tuple(targets)  # the gates refuse a non-integral index
+    # ints before the cache lookup: (1.0, 0) hashes as (1, 0) does
+    return apply_gates(state, _qft_ladder(_as_ints(targets), bool(inverse)))
+
+
+@functools.lru_cache(maxsize=QFT_CACHE_SIZE)
+def _qft_ladder(ts: tuple[int, ...], inverse: bool) -> tuple[Gate, ...]:
+    """The gates of `qft` on integer targets, built and so checked once;
+    gates are immutable, and applying them still checks the register width.
+    A call that raises is not cached."""
     if not ts:
         raise ShapeError("qft needs at least one target")
     t = len(ts)
@@ -159,16 +170,18 @@ def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
             theta = 2.0 * np.pi / (1 << (j - i + 1))
             gates.append(block(phase_gate(theta), (ts[i],), (ts[j],), (1,)))
     gates += [block(SWAP, (ts[i], ts[t - 1 - i])) for i in range(t // 2)]
-    return apply_gates(state, inverted(gates) if inverse else gates)
+    return tuple(inverted(gates) if inverse else gates)
 
 
 @dataclass(frozen=True, eq=False)
 class SignalSpec:
-    """Real samples (power-of-two length), frequency-domain scale |a| <= 1,
-    bias weight |b| <= 1 on a unit bias vector (uniform when omitted)."""
+    """Real samples (power-of-two length), a frequency-domain scale a or a
+    gain vector g of the samples' length (|a|, |g_i| <= 1, checked by
+    `signal_filter`), bias weight |b| <= 1 on a unit bias vector (uniform
+    when omitted).  A gain vector is stored as a finite complex128 array."""
 
     samples: np.ndarray
-    scale_a: float
+    scale_a: float | np.ndarray
     bias_b: float
     bias_vector: np.ndarray | None = None
 
@@ -179,6 +192,11 @@ class SignalSpec:
         if not np.isfinite(x).all():
             raise InvalidInputError("samples must be finite")
         object.__setattr__(self, "samples", x)
+        if np.ndim(self.scale_a):
+            g = as_vector(self.scale_a)
+            if g.shape != x.shape:
+                raise ShapeError(f"gain vector length {g.shape[0]} != sample count {x.shape[0]}")
+            object.__setattr__(self, "scale_a", g)
         if self.bias_vector is not None:
             v = as_vector(self.bias_vector)
             if v.shape[0] != x.shape[0]:
@@ -210,14 +228,17 @@ def signal_filter(spec: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
     """Frequency-domain affine filter, both ways.
 
     Quantum path: forward transform (DFT sign) of the normalized samples,
-    one weighted pipeline run X -> a X + b v from those amplitudes, inverse
-    transform on the base register of its result, de-scaled by the run's
-    ledger of 2.  Classical path: the same arithmetic on top of numpy's FFT.
-    Returns (quantum, classical) outputs on the normalized-input scale.
+    one weighted pipeline run X -> g * X + b v from those amplitudes, its
+    diagonal step given as the gain g itself (a scalar a as g = a 1), so no
+    L x L array is built; inverse transform on the base register of its
+    result, de-scaled by the run's ledger of 2.  Classical path: the same
+    arithmetic on top of numpy's FFT.  Returns (quantum, classical) outputs
+    on the normalized-input scale.
     """
     x = spec.samples
-    if abs(spec.scale_a) > 1.0:
-        raise ContractionError(f"|scale_a| = {abs(spec.scale_a)!r} exceeds 1")
+    peak = float(np.max(np.abs(spec.scale_a)))
+    if peak > 1.0:
+        raise ContractionError(f"|scale_a| = {peak!r} exceeds 1")
     nrm = np.linalg.norm(x)
     if nrm < 1e-12:
         raise NormalizationError("signal norm is (near-)zero")
@@ -232,7 +253,8 @@ def signal_filter(spec: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
     # the forward filter step uses the DFT sign e^{-2 pi i jk/M}, i.e. the
     # conjugate of the qft base convention
     freq_state = qft(simulator.init_amplitudes(xn), base, inverse=True)
-    step = AffineStep(spec.scale_a * np.eye(big_m), v, spec.bias_b)
+    gain = spec.scale_a if np.ndim(spec.scale_a) else np.full(big_m, spec.scale_a, dtype=np.complex128)
+    step = AffineStep(gain, v, spec.bias_b)
     res = run_pipeline(AffineSequence(n, freq_state.amplitudes, (step,)))
     quantum = res.scale * qft(res.state, base, inverse=False).amplitudes[:big_m]
 

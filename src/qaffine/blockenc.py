@@ -17,7 +17,9 @@ permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  It is
 one eigendecomposition of the core's Gram A^dag A = V diag(s^2) V^dag,
 since the dilation needs no left singular vectors: R = V diag(sqrt(1 - s^2))
 V^dag, and the top-right block is I - A (I + R)^-1 A^dag (Gilyen, Su, Low,
-Wiebe, STOC 2019).
+Wiebe, STOC 2019).  A diagonal A given as its 1-d diagonal (a pipeline step
+may be) is taken as its pairs directly, so its factorization, check and
+stage are all O(N).
 
 The abstract pipeline stage and the baseline take only the ancilla-0
 columns [A; R], block by block: `_check_isometry` forms the core's Gram and
@@ -139,29 +141,33 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
 
 
 def _factor(m: np.ndarray) -> _Dilation:
-    """Factor a square matrix once.  alpha = sigma_max unless that is at most
-    1 + ONE_TOL (then 1), so s / alpha <= 1 holds exactly in IEEE arithmetic;
-    singular values of A/alpha within ONE_TOL of 1 become 1 (rs = 0).
+    """Factor a square matrix, or a diagonal one given as its 1-d diagonal,
+    once.  alpha = sigma_max unless that is at most 1 + ONE_TOL (then 1), so
+    s / alpha <= 1 holds exactly in IEEE arithmetic; singular values of
+    A/alpha within ONE_TOL of 1 become 1 (rs = 0).
 
     A is, up to row and column orders, the direct sum of a core and its
     pairs (`_split`), and so is its dilation: the one eigendecomposition, of
     the core's Gram, runs on the core only, and none runs when the core is
     empty (a diagonal A, a phased permutation) or all zero; s = sqrt(lambda),
     a negative lambda of rounding read as 0.  A diagonal A is all pairs and
-    a matrix with no zero entry all core, both in the identity order."""
-    diagonal = np.diagonal(m)
-    nonzero = np.count_nonzero(m)
+    a matrix with no zero entry all core, both in the identity order.  A
+    1-d m is A's diagonal itself: all pairs, found with no scan of A."""
     rows = cols = None
-    if nonzero == np.count_nonzero(diagonal):
-        core, pairs = m[:0, :0], diagonal
-    else:
-        core, pairs = m, diagonal[:0]
-        split = _split(m) if nonzero < m.size else None
-        if split is not None:
-            rows, cols, c = split
-            if nonzero == m.shape[0] - c:  # an all-zero core: its zero rows
-                c = 0  # and columns pair off in order, as pairs of value 0
-            core, pairs = m[np.ix_(rows[:c], cols[:c])], m[rows[c:], cols[c:]]
+    core, pairs = np.zeros((0, 0), m.dtype), m
+    if m.ndim == 2:
+        diagonal = np.diagonal(m)
+        nonzero = np.count_nonzero(m)
+        if nonzero == np.count_nonzero(diagonal):
+            pairs = diagonal
+        else:
+            core, pairs = m, diagonal[:0]
+            split = _split(m) if nonzero < m.size else None
+            if split is not None:
+                rows, cols, c = split
+                if nonzero == m.shape[0] - c:  # an all-zero core: its zero rows
+                    c = 0  # and columns pair off in order, as pairs of value 0
+                core, pairs = m[np.ix_(rows[:c], cols[:c])], m[rows[c:], cols[c:]]
     c = core.shape[0]
     v, s = core, np.abs(pairs)
     if c:

@@ -115,10 +115,16 @@ class Reflector:
         return Reflector(v, self.p.conjugate())
 
     def __matmul__(self, x) -> np.ndarray:
-        """U @ x for x of shape (d,) or (d, batch), in O(d * batch)."""
-        y = np.array(x, dtype=np.complex128)
-        y[0] *= self.p
-        y -= np.multiply.outer(self.u, self.u.conj() @ y)
+        """U @ x for x of shape (d,) or (d, batch), in O(d * batch).  With
+        P x = x + (p - 1) x_0 e_0 and t = u^dag P x, U x = P x - u t: one new
+        array of x's size, and x, which may be a view of a caller's state, is
+        never written."""
+        x = np.asarray(x)
+        p1 = self.p - 1.0
+        t = self.u.conj() @ x + self.u[0].conjugate() * p1 * x[0]
+        y = np.multiply.outer(-self.u, t)
+        y += x
+        y[0] += p1 * x[0]
         return y
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:

@@ -21,7 +21,9 @@ R = sqrt(I - A^dag A), from the one factorization of A that every route
 shares (`blockenc._factor`: A's direct-sum blocks, one eigendecomposition of
 the coupled core's Gram and O(N) for the singular pairs).  The stage reads
 those blocks as they are; the 2N x 2N unitary is built only for physical
-mode's gate witness, from the same factorization.
+mode's gate witness, from the same factorization.  A diagonal A may be given
+as its 1-d diagonal: it is all singular pairs, so such a step is O(N) from
+the input check to the stage, with no N x N array.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
@@ -64,10 +66,12 @@ UNIT_ROUNDING_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AffineStep:
-    """One stage x -> A x + weight * B.  B = None marks a zero translation.
-    B must be a unit vector within UNIT_NORM_TOL (else NormalizationError);
-    one off by more than rounding is stored as B / |B|.  The weight lies in
-    [-1, 1] (else NormalizationError): the stage folds in
+    """One stage x -> A x + weight * B.  A is a square matrix, or a 1-d
+    array that is its diagonal: a diagonal step is checked and factored in
+    O(N), and no N x N array is built for it.  B = None marks a zero
+    translation.  B must be a unit vector within UNIT_NORM_TOL (else
+    NormalizationError); one off by more than rounding is stored as B / |B|.
+    The weight lies in [-1, 1] (else NormalizationError): the stage folds in
     weight * B / 2^(j-1) with a residual that keeps b~ a unit vector."""
 
     A: np.ndarray
@@ -75,8 +79,8 @@ class AffineStep:
     weight: float = 1.0
 
     def __post_init__(self):
-        a = as_matrix(self.A)
-        if a.shape[0] != a.shape[1]:
+        a = as_vector(self.A) if np.ndim(self.A) == 1 else as_matrix(self.A)
+        if a.ndim == 2 and a.shape[0] != a.shape[1]:
             raise ShapeError(f"step matrix must be square, got {a.shape}")
         object.__setattr__(self, "A", a)
         if self.B is not None:
@@ -247,7 +251,7 @@ def classical_affine_compose(seq: AffineSequence) -> np.ndarray:
     v = as_vector(seq.psi0)
     v = v / np.linalg.norm(v)
     for step in seq.steps:
-        v = step.A @ v
+        v = step.A * v if step.A.ndim == 1 else step.A @ v
         if step.B is not None:
             v = v + step.weight * step.B
     return v

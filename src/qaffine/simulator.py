@@ -16,9 +16,11 @@ Conventions used throughout the package:
   a seedable 64-bit generator) and inverts the cumulative distribution of
   |amplitude|^2, so histograms are reproducible for a fixed seed.
 * A `Gate` checks itself once, when it is built: integer qubit indices, no
-  qubit used twice, control values that are bits, and a matrix of the right
-  shape that is unitary (a dense matrix) or was checked when it was built
-  (a `linalg.Reflector`, a `blockenc.BlockEncoding`).  Gates made from a
+  qubit used twice, control values that are bits, the wiring its kind takes
+  ("single": one target, no control; "cnot": one of each; "block": any),
+  and a matrix of the right shape that is unitary (a dense matrix) or was
+  checked when it was built (a `linalg.Reflector`, a
+  `blockenc.BlockEncoding`).  Gates made from a
   built gate (`Gate._derive`) keep its checked matrix.
 * One kernel, `_apply`, runs every built gate on a transposed view of a
   state or of a matrix's columns, without checking it again; `_layout`
@@ -113,9 +115,16 @@ def _as_ints(xs, error=QubitIndexError, label: str = "qubit indices") -> tuple[i
         raise error(f"{label} must be integers, got {xs!r}") from None
 
 
-def _wires(targets, controls, control_values) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+# qubits a gate of each kind acts on: (targets, controls), None for any count
+_KIND_WIRES = {"single": (1, 0), "cnot": (1, 1), "block": None}
+
+
+def _wires(kind: str, targets, controls, control_values) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """A gate's wiring, checked as far as it can be without the register
-    width: integer qubit indices, no qubit used twice, one bit per control."""
+    width: integer qubit indices, no qubit used twice, one bit per control,
+    and as many targets and controls as the gate's kind takes."""
+    if kind not in _KIND_WIRES:
+        raise InvalidInputError(f"unknown gate kind {kind!r}")
     ts, cs = _as_ints(targets), _as_ints(controls)
     vs = _as_ints(control_values, InvalidInputError, "control values")
     if len(set(ts + cs)) != len(ts) + len(cs):
@@ -124,6 +133,9 @@ def _wires(targets, controls, control_values) -> tuple[tuple[int, ...], tuple[in
         raise ShapeError(f"{len(cs)} controls but {len(vs)} control values")
     if not {0, 1}.issuperset(vs):
         raise InvalidInputError(f"control values must be bits, got {vs}")
+    counts = _KIND_WIRES[kind]
+    if counts is not None and (len(ts), len(cs)) != counts:
+        raise ShapeError(f"a {kind!r} gate takes {counts[0]} target(s) and {counts[1]} control(s), got {ts} and {cs}")
     return ts, cs, vs
 
 
@@ -148,7 +160,7 @@ class Gate:
     matrix: np.ndarray | Reflector | BlockEncoding | None = None
 
     def __post_init__(self):
-        ts, cs, vs = _wires(self.targets, self.controls, self.control_values)
+        ts, cs, vs = _wires(self.kind, self.targets, self.controls, self.control_values)
         checked = isinstance(self.matrix, (Reflector, BlockEncoding))
         m = getattr(self.matrix, "U", self.matrix) if checked else as_matrix(self.matrix).copy()
         if m.shape != (1 << len(ts), 1 << len(ts)):
@@ -164,7 +176,7 @@ class Gate:
         (targets, controls, control values), which alone are checked, and
         with its checked matrix or `matrix` derived from it (its adjoint),
         which is not checked again."""
-        ts, cs, vs = (self.targets, self.controls, self.control_values) if wires is None else _wires(*wires)
+        ts, cs, vs = (self.targets, self.controls, self.control_values) if wires is None else _wires(kind, *wires)
         gate = object.__new__(Gate)
         vars(gate).update(
             kind=kind, targets=ts, controls=cs, control_values=vs, matrix=self.matrix if matrix is None else matrix

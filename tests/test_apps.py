@@ -10,12 +10,14 @@ from qaffine import (
     InvalidInputError,
     NormalizationError,
     PortfolioSpec,
+    QubitIndexError,
     ShapeError,
     SignalSpec,
     init_amplitudes,
     portfolio_circuit,
     portfolio_closed_form,
     portfolio_estimate,
+    sample,
     portfolio_alternate_form,
     qft,
     random_two_tone,
@@ -91,6 +93,19 @@ def test_portfolio_estimate_tracks_probabilities():
         assert abs(freq.get(bits, 0.0) - prob) <= 5 * sigma + 1e-12
 
 
+def test_portfolio_estimate_matches_its_per_bin_loop():
+    # the bit tuples are built with numpy; the per-bin loop they replaced is
+    # the reference, and the dict must equal it, order included
+    rng = np.random.default_rng(90)
+    for m in (1, 3, 7):
+        p = random_portfolio(rng, m)
+        hist = sample(portfolio_circuit(p), 3000, 11)
+        want = {tuple((i >> r) & 1 for r in range(m)): c / 3000 for i, c in hist.counts.items()}
+        got = portfolio_estimate(p, 3000, 11)
+        assert list(got.items()) == list(want.items())
+        assert all(type(b) is int for bits in got for b in bits)
+
+
 def test_portfolio_estimate_deterministic():
     p = PortfolioSpec([0.8, 0.6, 0.6, 0.8], 2)
     assert portfolio_estimate(p, 1000, seed=3) == portfolio_estimate(p, 1000, seed=3)
@@ -156,6 +171,23 @@ def test_qft_on_sub_register():
     assert np.max(np.abs(st.amplitudes - want)) <= 1e-12
     with pytest.raises(ShapeError):
         qft(init_amplitudes(psi), ())
+
+
+def test_qft_ladder_is_built_once_per_call_shape():
+    # the ladder is cached by (targets, inverse) on integer targets: a float
+    # index must not hit the cached ladder of its integer twin, and applying
+    # a cached ladder still checks the register width
+    rng = np.random.default_rng(89)
+    psi = random_state_vector(rng, 4)
+    first = qft(init_amplitudes(psi), (1, 0))
+    assert np.array_equal(qft(init_amplitudes(psi), [np.int64(1), 0]).amplitudes, first.amplitudes)
+    with pytest.raises(QubitIndexError):
+        qft(init_amplitudes(psi), (1.0, 0))
+    with pytest.raises(QubitIndexError):
+        qft(init_amplitudes(psi), (0, 0))
+    qft(init_amplitudes(random_state_vector(rng, 8)), (2, 1, 0))
+    with pytest.raises(QubitIndexError):
+        qft(init_amplitudes(psi), (2, 1, 0))
 
 
 # --- signal filtering -----------------------------------------------------------
@@ -232,3 +264,53 @@ def test_signal_validation():
         SignalSpec(x, 1.0, 0.0, bias_vector=np.ones(8))
     with pytest.raises(InvalidInputError):
         SignalSpec(np.array([np.nan] * 8), 1.0, 0.0)
+    with pytest.raises(ContractionError):
+        signal_filter(SignalSpec(x, np.full(8, 0.5) + np.eye(8)[3], 0.0))
+    with pytest.raises(InvalidInputError):
+        SignalSpec(x, np.full(8, np.nan), 0.0)
+    with pytest.raises(InvalidInputError):
+        SignalSpec(x, np.full(8, np.inf), 0.0)
+    with pytest.raises(ShapeError):
+        SignalSpec(x, np.full(4, 0.5), 0.0)
+    with pytest.raises(ShapeError):
+        SignalSpec(x, np.full((8, 8), 0.5), 0.0)
+
+
+def _fft_filter(x, gain, b, v):
+    """The filter written out on numpy's FFT alone."""
+    xn = x / np.linalg.norm(x)
+    length = x.shape[0]
+    freq = np.fft.fft(xn) / np.sqrt(length)
+    return np.fft.ifft(gain * freq + b * v) * np.sqrt(length)
+
+
+def test_gain_vector_filters_match_the_fft():
+    rng = np.random.default_rng(88)
+    length = 64
+    x = random_two_tone(length, 17)
+    v = random_state_vector(rng, length)
+    k = np.fft.fftfreq(length, 1.0 / length)
+    low_pass = (np.abs(k) <= 8).astype(float)
+    # a delay of a quarter period: its phases are powers of -i, modulus 1
+    # exactly; most other delays compute some |g_i| an ulp above 1
+    delay = length // 4
+    phase_shift = np.exp(-2j * np.pi * k * delay / length)
+    assert np.max(np.abs(phase_shift)) == 1.0
+    damped_shift = 0.999 * np.exp(-2j * np.pi * k * 3 / length)
+    for gain, b in ((low_pass, 0.2), (phase_shift, 0.0), (damped_shift * low_pass, -0.5)):
+        quantum, classical = signal_filter(SignalSpec(x, gain, b, v))
+        want = _fft_filter(x, gain, b, v)
+        assert np.max(np.abs(quantum - want)) <= 1e-9
+        assert np.max(np.abs(classical - want)) <= 1e-9
+    delayed, _ = signal_filter(SignalSpec(x, phase_shift, 0.0))
+    assert np.max(np.abs(delayed - np.roll(x / np.linalg.norm(x), delay))) <= 1e-9
+
+
+def test_scalar_scale_is_the_constant_gain_bit_for_bit():
+    rng = np.random.default_rng(87)
+    for length in (8, 64, 512):
+        x = random_two_tone(length, int(rng.integers(1 << 30)))
+        a, b = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        scalar = signal_filter(SignalSpec(x, a, b))
+        vector = signal_filter(SignalSpec(x, np.full(length, a), b))
+        assert all(np.array_equal(s, g) for s, g in zip(scalar, vector))

@@ -9,6 +9,7 @@ from qaffine import (
     InvalidInputError,
     PAULI_X,
     QubitIndexError,
+    SWAP,
     ShapeError,
     UnitarityError,
     apply_gate,
@@ -278,3 +279,27 @@ def test_a_directly_built_gate_refuses_what_block_refuses(matrix, targets, contr
     if not controls:
         with pytest.raises(error):
             Gate("single", targets, matrix=matrix)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: Gate("single", (1, 0), matrix=SWAP), ShapeError),
+        (lambda: Gate("single", (1,), (0,), (1,), PAULI_X), ShapeError),
+        (lambda: Gate("cnot", (1,), matrix=PAULI_X), ShapeError),
+        (lambda: Gate("cnot", (1, 2), (0,), (1,), SWAP), ShapeError),
+        (lambda: Gate("swap", (1, 0), matrix=SWAP), InvalidInputError),
+        (lambda: single(PAULI_X, 0)._derive("single", ((1, 0), (), ())), ShapeError),
+        (lambda: cnot(0, 1)._derive("cnot", ((1,), (), ())), ShapeError),
+        (lambda: single(PAULI_X, 0)._derive("toffoli", ((1,), (0,), (1,))), InvalidInputError),
+    ],
+    ids=["single-two-targets", "single-controlled", "cnot-no-control", "cnot-two-targets", "unknown-kind",
+         "derived-single", "derived-cnot", "derived-unknown"],
+)
+def test_a_gate_kind_fixes_its_wiring(build, error):
+    # Gate("single", (1, 0), matrix=SWAP) once built, and gate counts
+    # tallied it as one single-qubit gate
+    with pytest.raises(error):
+        build()
+    assert Gate("cnot", (1,), (0,), (1,), PAULI_X).kind == "cnot"
+    assert Gate("block", (2, 1), (0,), (0,), SWAP).kind == "block"

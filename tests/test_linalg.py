@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import random_contraction, random_unitary
+from conftest import random_contraction, random_state_vector, random_unitary
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from qaffine import (
     NormalizationError,
     ShapeError,
     UnitarityError,
+    apply_gate,
     block,
     completion_unitary,
     dagger,
@@ -176,3 +179,41 @@ def test_reflector_checks_its_input_and_stays_as_checked():
         s.u[0] = 3.0
     with pytest.raises(AttributeError):
         s.p = 1.0
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_reflector_makes_one_operand_sized_array():
+    # U x once copied x and then built an outer-product temporary of the same
+    # size: a peak of two operands.  Besides its result it may hold only a
+    # few O(d + batch) vectors and numpy's ufunc buffers, and x, which the kernel
+    # passes as a view of a state, is not written
+    rng = np.random.default_rng(41)
+    r = state_preparation(random_state_vector(rng, 1024))
+    x = rng.normal(size=(1024, 256)) + 1j * rng.normal(size=(1024, 256))
+    x.flags.writeable = False
+    slack = 2 * np.getbufsize() * 16 + 4 * (1024 + 256) * 16
+    assert _traced_peak(lambda: r @ x) <= x.nbytes + slack
+    assert max_abs(r @ x - np.asarray(r) @ x) <= 1e-13
+    assert max_abs(r @ x[:, 3] - np.asarray(r) @ x[:, 3]) <= 1e-13
+
+    # as a gate: no higher than the dense gate on the same layout (on the
+    # top qubits the kernel moves no axis, so the operator's arrays show)
+    q = 16
+    state = init_amplitudes(random_state_vector(rng, 1 << q))
+    for targets in ((15, 14, 13, 12), (3, 2, 1, 0), (5, 12, 0)):
+        d = 1 << len(targets)
+        r = state_preparation(random_state_vector(rng, d))
+        peaks = []
+        for m in (r, np.asarray(r)):
+            g = block(m, targets)
+            apply_gate(state, g)  # its layout is cached outside the trace
+            peaks.append(_traced_peak(lambda: apply_gate(state, g)))
+        assert peaks[0] <= peaks[1] + 2 * np.getbufsize() * 16 + 4 * (d + (1 << q) // d) * 16, targets

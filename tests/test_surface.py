@@ -151,7 +151,9 @@ def test_one_gate_check():
         ("synthesis", "synthesize", "is_unitary"),
     ]
     assert _calls_named({"_wires"}) == [("simulator", "__post_init__", "_wires"), ("simulator", "_derive", "_wires")]
-    assert {site[1] for site in _calls_named({"_as_ints"})} == {"_wires"}
+    # `qft` converts its targets only to key its cache of built ladders,
+    # whose gates checked them: (1.0, 0) would otherwise hit (1, 0)'s entry
+    assert {site[1] for site in _calls_named({"_as_ints"})} == {"_wires", "qft"}
 
 
 def test_one_stage_entry():
@@ -159,6 +161,12 @@ def test_one_stage_entry():
     # it alone factors a step, builds its b~ support and writes the stage
     for name in ("_stage", "_step_dilation", "_translation_support"):
         assert _calls_named({name}) == [("pipeline", "run_pipeline", name)]
+
+
+def test_apps_writes_out_no_identity():
+    # the signal filter's step is diagonal and given as its diagonal: an
+    # L x L a I was 256 MiB at L = 4096
+    assert [site for site in _calls_named({"eye", "identity", "diag"}) if site[0] == "apps"] == []
 
 
 def test_one_witness_replay():
