@@ -33,7 +33,6 @@ from .addsub import hadamard_addsub_inplace
 from .circuits import HADAMARD, SWAP, Gate, apply_gates, block, inverted, phase_gate, single
 from .errors import (
     CapacityError,
-    ContractionError,
     InvalidInputError,
     NormalizationError,
     ShapeError,
@@ -176,9 +175,10 @@ def _qft_ladder(ts: tuple[int, ...], inverse: bool) -> tuple[Gate, ...]:
 @dataclass(frozen=True, eq=False)
 class SignalSpec:
     """Real samples (power-of-two length), a frequency-domain scale a or a
-    gain vector g of the samples' length (|a|, |g_i| <= 1, checked by
-    `signal_filter`), bias weight |b| <= 1 on a unit bias vector (uniform
-    when omitted).  A gain vector is stored as a finite complex128 array."""
+    gain vector g of the samples' length (|a|, |g_i| <= 1, checked by the
+    pipeline step `signal_filter` runs), bias weight |b| <= 1 on a unit
+    bias vector (uniform when omitted).  A gain vector is stored as a
+    finite complex128 array."""
 
     samples: np.ndarray
     scale_a: float | np.ndarray
@@ -233,12 +233,12 @@ def signal_filter(spec: SignalSpec) -> tuple[np.ndarray, np.ndarray]:
     L x L array is built; inverse transform on the base register of its
     result, de-scaled by the run's ledger of 2.  Classical path: the same
     arithmetic on top of numpy's FFT.  Returns (quantum, classical) outputs
-    on the normalized-input scale.
+    on the normalized-input scale.  The step decides whether max |g_i| is
+    at most 1, by its own rule: a unit-modulus gain an ulp above 1 runs,
+    and a gain beyond `pipeline.CONTRACTION_TOL` above 1 raises
+    `ContractionError`.
     """
     x = spec.samples
-    peak = float(np.max(np.abs(spec.scale_a)))
-    if peak > 1.0:
-        raise ContractionError(f"|scale_a| = {peak!r} exceeds 1")
     nrm = np.linalg.norm(x)
     if nrm < 1e-12:
         raise NormalizationError("signal norm is (near-)zero")

@@ -49,7 +49,9 @@ def check_unit_norm(v, label: str) -> float:
 
 
 def max_abs(m) -> float:
-    return float(np.max(np.abs(m)))
+    """Largest |entry| (NaN if any entry is NaN), as one ufunc and one
+    reduction, without `np.max`'s dispatch."""
+    return float(np.abs(m).max())
 
 
 def gram_deviation(*parts: np.ndarray) -> float:

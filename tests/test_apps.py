@@ -292,18 +292,22 @@ def test_gain_vector_filters_match_the_fft():
     k = np.fft.fftfreq(length, 1.0 / length)
     low_pass = (np.abs(k) <= 8).astype(float)
     # a delay of a quarter period: its phases are powers of -i, modulus 1
-    # exactly; most other delays compute some |g_i| an ulp above 1
+    # exactly; a delay of 3 computes some |g_i| an ulp above 1, which the
+    # step reads as a unit gain
     delay = length // 4
     phase_shift = np.exp(-2j * np.pi * k * delay / length)
     assert np.max(np.abs(phase_shift)) == 1.0
-    damped_shift = 0.999 * np.exp(-2j * np.pi * k * 3 / length)
-    for gain, b in ((low_pass, 0.2), (phase_shift, 0.0), (damped_shift * low_pass, -0.5)):
+    shift_3 = np.exp(-2j * np.pi * k * 3 / length)
+    assert np.max(np.abs(shift_3)) == np.nextafter(1.0, 2.0)
+    damped_shift = 0.999 * shift_3
+    for gain, b in ((low_pass, 0.2), (phase_shift, 0.0), (shift_3, 0.3), (damped_shift * low_pass, -0.5)):
         quantum, classical = signal_filter(SignalSpec(x, gain, b, v))
         want = _fft_filter(x, gain, b, v)
         assert np.max(np.abs(quantum - want)) <= 1e-9
         assert np.max(np.abs(classical - want)) <= 1e-9
-    delayed, _ = signal_filter(SignalSpec(x, phase_shift, 0.0))
-    assert np.max(np.abs(delayed - np.roll(x / np.linalg.norm(x), delay))) <= 1e-9
+    for gain, shift in ((phase_shift, delay), (shift_3, 3)):
+        delayed, _ = signal_filter(SignalSpec(x, gain, 0.0))
+        assert np.max(np.abs(delayed - np.roll(x / np.linalg.norm(x), shift))) <= 1e-9
 
 
 def test_scalar_scale_is_the_constant_gain_bit_for_bit():

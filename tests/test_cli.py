@@ -454,6 +454,9 @@ def test_demo_signal_invalid_scale(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "contraction:" in capsys.readouterr().err
+    code = main(["demo", "signal", "--scale-a", "nan", "--out-dir", str(tmp_path / "o")])
+    assert code == 3
+    assert "invalid-input:" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
