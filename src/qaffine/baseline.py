@@ -12,18 +12,17 @@ cross-check and the cost baseline for gate counting.  Factoring A~ takes one
 eigendecomposition of the Gram of the N + 1 coordinates that A and B couple;
 the other N - 1 are singular pairs (`blockenc._factor`).  Only the ancilla-0
 columns [A~/alpha ; R~] act, as in an abstract stage: they alone are checked
-and applied, block by block from the factorization; U is built only when a
-circuit reads `enc`.
+and applied, block by block from the factorization `enc`; its U is built
+and checked only when a circuit reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .blockenc import BlockEncoding, _check_isometry, _Dilation, _factor, _write_dilation
+from .blockenc import BlockEncoding, _check_isometry, _factor, _write_dilation
 from .errors import ShapeError
 from .linalg import as_matrix, as_vector, check_unit_norm
 from .simulator import _check_normalized
@@ -33,11 +32,7 @@ from .simulator import _check_normalized
 class AugmentedAffine:
     A_tilde: np.ndarray
     psi_tilde: np.ndarray
-    dilation: _Dilation
-
-    @cached_property
-    def enc(self) -> BlockEncoding:
-        return self.dilation.encoding()
+    enc: BlockEncoding
 
 
 def build_augmented(a, b, psi) -> AugmentedAffine:
@@ -64,7 +59,7 @@ def build_augmented(a, b, psi) -> AugmentedAffine:
 
 def run_augmented(aug: AugmentedAffine) -> np.ndarray:
     """A psi + B: the checked ancilla-0 columns of A~'s dilation on psi~."""
-    f, x = aug.dilation, aug.psi_tilde[None, :]
+    f, x = aug.enc, aug.psi_tilde[None, :]
     phi = np.empty((2, x.shape[1]), dtype=np.complex128)
     _write_dilation(x, f, 1.0, phi[:1], phi[1:])
     _check_normalized(phi)

@@ -8,12 +8,13 @@ A matrix A with spectral norm at most alpha embeds into the unitary
 so applying U to a register whose top ancilla is |0> acts as A/alpha on the
 ancilla-0 block; alpha is 1 for a contraction, else sigma_max.
 
-Every route factors A once, in `_factor`, and keeps only A's direct-sum
-blocks (`_Dilation`).  The dilation of a direct sum is the direct sum of
-the dilations, so an entry alone in its row and column is split off as its
-own singular pair and the one factorization runs on the coupled core left
-over: all of a matrix with no zero entry, none for a diagonal A or a phased
-permutation, N + 1 rows and columns for the baseline's 2N x 2N A~.  It is
+Every route factors A once, in `_factor`, into the one dilation type,
+`BlockEncoding`: A's direct-sum blocks.  The dilation of a direct sum is
+the direct sum of the dilations, so an entry alone in its row and column is
+split off as its own singular pair and the one factorization runs on the
+coupled core left over: all of a matrix with no zero entry, none for a
+diagonal A or a phased permutation, N + 1 rows and columns for the
+baseline's 2N x 2N A~.  It is
 one eigendecomposition of the core's Gram A^dag A = V diag(s^2) V^dag,
 since the dilation needs no left singular vectors: R = V diag(sqrt(1 - s^2))
 V^dag, and the top-right block is I - A (I + R)^-1 A^dag (Gilyen, Su, Low,
@@ -25,15 +26,14 @@ The abstract pipeline stage and the baseline take only the ancilla-0
 columns [A; R], block by block: `_check_isometry` forms the core's Gram and
 checks the pairs' 2 x 1 blocks in O(N) (a direct sum is an isometry exactly
 when each summand is), and `_write_dilation` runs the core as one product
-and the pairs elementwise.  Only `_Dilation.encoding` writes the blocks out
-densely, to build U for the physical stage's witness, `block_encode` and
-the baseline's `enc` (synthesis); U is checked whole, once, in
-`BlockEncoding`."""
+and the pairs elementwise; neither reads U, which the first read writes out
+densely and checks whole, once: the physical stage's witness gate,
+`block_encode` and synthesis of the baseline's `enc`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -52,27 +52,6 @@ ONE_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
-    """A dilation U of A/alpha, A being U's top-left block, half U's side.
-    U is checked whole for unitarity (within UNITARY_TOL) once, here, and
-    kept as a read-only copy, so gates can run it without checking it again;
-    alpha, which scales the block back to A, must be finite and > 0."""
-
-    U: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < np.inf:  # a NaN fails too
-            raise InvalidInputError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        u = np.array(self.U, dtype=np.complex128)  # is_unitary checks it is square
-        if u.ndim != 2 or u.shape[0] % 2:
-            raise ShapeError(f"a dilation is a matrix of even side, got shape {u.shape}")
-        if not (np.isfinite(u).all() and is_unitary(u, UNITARY_TOL)):  # a NaN is a failed dilation, not bad input
-            raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
-        u.flags.writeable = False
-        object.__setattr__(self, "U", u)
-
-
-class _Dilation(NamedTuple):
     """The dilation of A/alpha as A's direct-sum blocks, in `_split`'s row
     order `rows` and column order `cols`: the c x c core `a` of A/alpha, its
     residual `r` = V diag(rs[:c]) V^dag from the core's right singular
@@ -80,7 +59,8 @@ class _Dilation(NamedTuple):
     residuals `rs` = sqrt(1 - s^2), the core's first.  R = sqrt(I - A^dag A
     / alpha^2) is `r` over cols[:c] and rs[c:] at the pairs' columns.
     rows = cols = None is the identity order, of a matrix that is all core
-    (no pair) or all pairs (a diagonal A)."""
+    (no pair) or all pairs (a diagonal A).  Only `_factor` builds one, so
+    alpha, which scales the block back to A, is finite and > 0."""
 
     a: np.ndarray
     r: np.ndarray
@@ -91,10 +71,13 @@ class _Dilation(NamedTuple):
     rows: np.ndarray | None
     cols: np.ndarray | None
 
-    def encoding(self) -> BlockEncoding:
-        """The full 2N x 2N dilation, checked once, whole; the one place the
-        blocks are written out densely.  The top-right block
-        sqrt(I - A A^dag / alpha^2) holds rs[c:] at the pairs' rows too."""
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The 2N x 2N dilation: on the first read the blocks are written out
+        densely, the one place they are, and U is checked whole within
+        UNITARY_TOL, then kept read-only, so gates run it unchecked.  The
+        top-right block sqrt(I - A A^dag / alpha^2) holds rs[c:] at the
+        pairs' rows too."""
         c = self.a.shape[0]
         rs, pair_rs = self.rs[:c], self.rs[c:]
         t = np.zeros((c, c))  # exactly, for a unitary core
@@ -104,7 +87,11 @@ class _Dilation(NamedTuple):
         rows, cols = self.rows, self.cols
         blocks = ((self.a, self.p, rows, cols), (self.r, pair_rs, cols, cols), (t, pair_rs, rows, rows))
         a, r, top_right = (_dense(*b) for b in blocks)
-        return BlockEncoding(np.block([[a, top_right], [r, -a.conj().T]]), self.alpha)
+        u = np.block([[a, top_right], [r, -a.conj().T]])
+        if not is_unitary(u, UNITARY_TOL):  # a NaN fails too
+            raise EncodingError(f"dilation failed the unitarity check at {UNITARY_TOL:g}")
+        u.flags.writeable = False
+        return u
 
 
 def _dense(core: np.ndarray, pairs: np.ndarray, rows: np.ndarray | None, cols: np.ndarray | None) -> np.ndarray:
@@ -140,7 +127,7 @@ def _split(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
     return rows, cols, m.shape[0] - pair_rows.shape[0]
 
 
-def _factor(m: np.ndarray) -> _Dilation:
+def _factor(m: np.ndarray) -> BlockEncoding:
     """Factor a square matrix, or a diagonal one given as its 1-d diagonal,
     once.  alpha = sigma_max unless that is at most 1 + ONE_TOL (then 1), so
     s / alpha <= 1 holds exactly in IEEE arithmetic; singular values of
@@ -152,7 +139,9 @@ def _factor(m: np.ndarray) -> _Dilation:
     empty (a diagonal A, a phased permutation) or all zero; s = sqrt(lambda),
     a negative lambda of rounding read as 0.  A diagonal A is all pairs and
     a matrix with no zero entry all core, both in the identity order.  A
-    1-d m is A's diagonal itself: all pairs, found with no scan of A."""
+    1-d m is A's diagonal itself: all pairs, found with no scan of A.  A
+    Gram or sigma_max that overflows is InvalidInputError, raised before
+    eigh and before the division by alpha."""
     rows = cols = None
     core, pairs = np.zeros((0, 0), m.dtype), m
     if m.ndim == 2:
@@ -171,18 +160,24 @@ def _factor(m: np.ndarray) -> _Dilation:
     c = core.shape[0]
     v, s = core, np.abs(pairs)
     if c:
-        lam, v = np.linalg.eigh(core.conj().T @ core)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
+            gram = core.conj().T @ core
+        if not np.isfinite(gram).all():
+            raise InvalidInputError("the Gram of the matrix is not finite: its entries are too large")
+        lam, v = np.linalg.eigh(gram)
         s = np.concatenate([np.sqrt(np.maximum(lam, 0.0)), s])
     sigma = float(s.max())
+    if not sigma < np.inf:
+        raise InvalidInputError(f"spectral norm {sigma!r} overflows")
     alpha = 1.0 if sigma <= 1.0 + ONE_TOL else sigma
     if alpha != 1.0:
         core, pairs, s = core / alpha, pairs / alpha, s / alpha
     s[np.abs(1.0 - s) <= ONE_TOL] = 1.0
     rs = np.sqrt(1.0 - s**2)
-    return _Dilation(core, (v * rs[:c]) @ v.conj().T, v, pairs, rs, alpha, rows, cols)
+    return BlockEncoding(core, (v * rs[:c]) @ v.conj().T, v, pairs, rs, alpha, rows, cols)
 
 
-def _deviation(f: _Dilation) -> float:
+def _deviation(f: BlockEncoding) -> float:
     """max |M^dag M - I| for M = [A; R], the dilation's ancilla-0 columns.
     A direct sum is an isometry exactly when each summand is, so this forms
     the core's Gram and checks the pairs' 2 x 1 blocks [p; rs] as one batch."""
@@ -191,14 +186,14 @@ def _deviation(f: _Dilation) -> float:
     return max_abs([gram_deviation(*b) for b in blocks if b[0].size])  # max_abs keeps a NaN
 
 
-def _check_isometry(f: _Dilation, label: str) -> None:
+def _check_isometry(f: BlockEncoding, label: str) -> None:
     """[A; R] must have orthonormal columns: A^dag A + R^dag R = I."""
     dev = _deviation(f)
     if not dev <= UNITARY_TOL:
         raise EncodingError(f"{label}: dilation columns deviate from an isometry by {dev:.3e}")
 
 
-def _write_dilation(x: np.ndarray, f: _Dilation, scale: float, a_out: np.ndarray, r_out: np.ndarray) -> None:
+def _write_dilation(x: np.ndarray, f: BlockEncoding, scale: float, a_out: np.ndarray, r_out: np.ndarray) -> None:
     """Write scale * X (A/alpha)^T into a_out and scale * X R^T into r_out,
     where X holds the register as rows over the base index: the core as one
     product, the pairs elementwise, gathered and scattered through A's
@@ -222,12 +217,14 @@ def _write_dilation(x: np.ndarray, f: _Dilation, scale: float, a_out: np.ndarray
 
 
 def block_encode(a) -> BlockEncoding:
-    """Dilate a square matrix to a unitary twice its size; both residual
-    blocks come from one factorization, so they stay exactly intertwined."""
+    """Dilate a square matrix to a unitary twice its size, U built and
+    checked; both residual blocks come from one factorization."""
     m = as_matrix(a)
     n, ncols = m.shape
     if n != ncols:
         raise ShapeError(f"block encoding needs a square matrix, got {m.shape}")
     if n & (n - 1) or n < 1:
         raise ShapeError(f"matrix dimension {n} is not a power of two")
-    return _factor(m).encoding()
+    f = _factor(m)
+    f.U  # built and checked now, so a failed dilation is refused here
+    return f

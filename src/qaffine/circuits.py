@@ -13,14 +13,14 @@ its `adjoint`.  Only lowering and `gatelist_matrix` densify it.
 
 `Gate` lives next to the kernel, in `simulator`, and is re-exported here.
 Building one is its only check (wiring, shape, and unitarity within 1e-9 by
-a dense product for a matrix; a Reflector or a checked
-`blockenc.BlockEncoding` is trusted by its type), so `single` and `block`
-only build a gate.  Gates made from built gates (`dagger`, `with_control`,
-`cnot` from one checked X) keep the checked matrix and check only their new
-wiring; lowering builds each gate on its final wires.  Running a program
-checks the output norm and, once per distinct layout, the register width,
-whether the program is run or multiplied out (`gatelist_matrix`), but not
-unitarity again.
+a dense product for a matrix; a Reflector or a `blockenc.BlockEncoding`,
+whose U checks itself when read, is trusted by its type), so `single` and
+`block` only build a gate.  Gates made from built gates (`dagger`,
+`with_control`, `cnot` from one checked X) keep the checked matrix and
+check only their new wiring; lowering builds each gate on its final wires.
+Running a program checks the output norm and, once per distinct layout, the
+register width, whether the program is run or multiplied out
+(`gatelist_matrix`), but not unitarity again.
 """
 
 from __future__ import annotations

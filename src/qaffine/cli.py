@@ -208,9 +208,9 @@ def cmd_baseline(args) -> int:
     step = seq.steps[0]
     b = step.B if step.B is not None else np.zeros(1 << seq.n)
     aug = build_augmented(step.A, b, seq.psi0)
-    meta = {"mode": "augmented", "alpha": aug.dilation.alpha}
+    meta = {"mode": "augmented", "alpha": aug.enc.alpha}
     summary = f"augmented dilation dimension: {2 * aug.A_tilde.shape[0]}"
-    return _write_outputs(args, seq, run_augmented(aug), aug.dilation.alpha, meta, summary)
+    return _write_outputs(args, seq, run_augmented(aug), aug.enc.alpha, meta, summary)
 
 
 def cmd_gates_compare(args) -> int:

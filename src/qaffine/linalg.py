@@ -67,8 +67,9 @@ def gram_deviation(*parts: np.ndarray) -> float:
 
 
 def is_unitary(m, tol: float) -> bool:
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    """max |M^dag M - I| <= tol, on entries the caller validated (a NaN fails)."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"unitarity is only defined for square matrices, got {a.shape}")
     return gram_deviation(a) <= tol
 

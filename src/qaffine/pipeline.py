@@ -20,10 +20,10 @@ The dilation ancilla starts in |0>, so only the ancilla-0 columns of the
 R = sqrt(I - A^dag A), from the one factorization of A that every route
 shares (`blockenc._factor`: A's direct-sum blocks, one eigendecomposition of
 the coupled core's Gram and O(N) for the singular pairs).  The stage reads
-those blocks as they are; the 2N x 2N unitary is built only for physical
-mode's gate witness, from the same factorization.  A diagonal A may be given
-as its 1-d diagonal: it is all singular pairs, so such a step is O(N) from
-the input check to the stage, with no N x N array.
+those blocks as they are; only physical mode's gate witness reads the
+factorization's U, the 2N x 2N unitary built and checked on first read.  A
+diagonal A may be given as its 1-d diagonal: it is all singular pairs, so
+such a step is O(N) from the input check to the stage, with no N x N array.
 
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
@@ -48,7 +48,7 @@ import numpy as np
 
 from . import simulator
 from .addsub import _check_witness, _fold, _unit, addsub_stage_gates
-from .blockenc import _check_isometry, _Dilation, _factor, _write_dilation
+from .blockenc import BlockEncoding, _check_isometry, _factor, _write_dilation
 from .circuits import GateList, block
 from .errors import (
     CapacityError,
@@ -156,12 +156,12 @@ def _translation_support(b, step_index: int, weight: float) -> tuple[np.ndarray,
     return b / np.linalg.norm(b) * scale, float(np.sqrt(1.0 - scale**2))
 
 
-def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = None) -> _Dilation:
+def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = None) -> BlockEncoding:
     """The factorization of a step's A, checked.  alpha must stay within
-    CONTRACTION_TOL of 1 (A is divided by it there).  Given a witness, the
-    dilation U is built from the factorization, checked once in its
-    BlockEncoding and appended on a new ancilla; its ancilla-0 columns are
-    the blocks the state gets.  Otherwise those columns are checked alone."""
+    CONTRACTION_TOL of 1 (A is divided by it there).  Given a witness, it
+    is appended as a gate on a new ancilla, which builds and checks its U;
+    its ancilla-0 columns are the blocks the state gets.  Otherwise those
+    columns are checked alone."""
     f = _factor(m)
     if f.alpha > 1.0 + CONTRACTION_TOL:
         raise ContractionError(
@@ -173,12 +173,12 @@ def _step_dilation(m: np.ndarray, step_index: int, witness: GateList | None = No
     else:
         n = m.shape[0].bit_length() - 1  # A is 2^n x 2^n
         targets = (witness.qubit_count,) + tuple(range(n - 1, -1, -1))
-        witness.gates.append(block(f.encoding(), targets))
+        witness.gates.append(block(f, targets))
         witness.qubit_count += 1
     return f
 
 
-def _stage(buf: np.ndarray, d: int, f: _Dilation, head: np.ndarray, residual: float) -> None:
+def _stage(buf: np.ndarray, d: int, f: BlockEncoding, head: np.ndarray, residual: float) -> None:
     """One abstract stage in place, laid out as the module docstring says:
     rewrite buf[:4d] from the register in buf[:d], given the checked
     factorization and b~ on its support.  Both add/sub halves start as

@@ -18,9 +18,9 @@ Conventions used throughout the package:
 * A `Gate` checks itself once, when it is built: integer qubit indices, no
   qubit used twice, control values that are bits, the wiring its kind takes
   ("single": one target, no control; "cnot": one of each; "block": any),
-  and a matrix of the right shape that is unitary (a dense matrix) or was
-  checked when it was built (a `linalg.Reflector`, a
-  `blockenc.BlockEncoding`).  Gates made from a
+  and a matrix of the right shape that is unitary (a dense matrix) or
+  checked by its type (a `linalg.Reflector`, the U a
+  `blockenc.BlockEncoding` checks on first read).  Gates made from a
   built gate (`Gate._derive`) keep its checked matrix.
 * One kernel, `_apply`, runs every built gate on a transposed view of a
   state or of a matrix's columns, without checking it again; `_layout`
@@ -148,8 +148,8 @@ class Gate:
     Building a gate is its one check: the wiring (`_wires`), then the
     matrix.  A dense matrix must be 2^t x 2^t and unitary within
     UNITARY_ATOL, and is kept as a read-only copy, so it cannot change after
-    its check.  A Reflector and a BlockEncoding (kept as its U) were checked
-    when they were built and hold read-only data, so only their shape is
+    its check.  A Reflector and a BlockEncoding (kept as its U, checked on
+    first read) hold checked read-only data, so only their shape is
     checked.  The kernel runs a built gate as it is; only the register
     width is checked there, once per layout."""
 

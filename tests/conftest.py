@@ -7,11 +7,15 @@ arithmetic so simulator bugs cannot cancel out in the checks.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import sys
 
 import numpy as np
 from hypothesis import settings
 from scipy.stats import unitary_group
+
+from qaffine.blockenc import BlockEncoding
 
 # Property tests draw the same examples on every run and never time out, so
 # a loaded machine cannot make them flaky.
@@ -97,8 +101,19 @@ def broken_residual(f, broken):
     it: the core's block R, or the pairs' residuals rs when there is no core
     (a diagonal A, a phased permutation)."""
     if f.r.size:
-        return f._replace(r=broken(f.r))
-    return f._replace(rs=broken(f.rs))
+        return dataclasses.replace(f, r=broken(f.r))
+    return dataclasses.replace(f, rs=broken(f.rs))
+
+
+def count_dense_builds(monkeypatch) -> list:
+    """Record each build of a BlockEncoding's dense U, its first read: the
+    returned list grows by the factorization read."""
+    builds: list = []
+    dense = BlockEncoding.U.func
+    prop = functools.cached_property(lambda f: builds.append(f) or dense(f))
+    prop.__set_name__(BlockEncoding, "U")
+    monkeypatch.setattr(BlockEncoding, "U", prop)
+    return builds
 
 
 def count_calls(monkeypatch, name: str) -> list:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import broken_residual, count_calls, nan_at_largest, random_contraction, random_state_vector
+from conftest import broken_residual, count_calls, count_dense_builds, nan_at_largest, random_contraction, random_state_vector
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES, off_by
@@ -10,7 +10,6 @@ from test_stage_properties import MATRICES, off_by
 from qaffine import (
     AffineSequence,
     AffineStep,
-    BlockEncoding,
     EncodingError,
     NormalizationError,
     ShapeError,
@@ -22,7 +21,6 @@ from qaffine import (
     run_augmented,
     run_pipeline,
 )
-from qaffine.blockenc import _Dilation
 
 
 def test_augmented_matrix_layout():
@@ -111,7 +109,7 @@ def test_build_augmented_validation():
 
 
 def test_run_augmented_checks_no_unitarity(monkeypatch):
-    # the dilation was checked when its BlockEncoding was built
+    # the columns it applies were checked in build_augmented, and it reads no U
     rng = np.random.default_rng(74)
     aug = build_augmented(random_contraction(rng, 4), random_state_vector(rng, 4), random_state_vector(rng, 4))
     calls = count_calls(monkeypatch, "is_unitary")
@@ -175,15 +173,13 @@ def test_broken_factorization_raises_encoding_error(monkeypatch):
 def test_run_augmented_builds_no_4n_dilation(monkeypatch):
     # build and run apply only the checked columns [A~/alpha ; R~]: no U, no
     # unitarity check, and a traced peak below one 4N x 4N array next to
-    # A~, which a route holding U cannot stay under.  U is built once, on
-    # the first read of enc, bit-identical to block_encode's
+    # A~, which a route holding U cannot stay under.  U is built and
+    # checked once, on the first read of enc.U, bit-identical to
+    # block_encode's
     rng = np.random.default_rng(77)
     dim = 64
     a, b, psi = random_contraction(rng, dim), random_state_vector(rng, dim), random_state_vector(rng, dim)
-    encodings, checked = [], []
-    encoding, post_init = _Dilation.encoding, BlockEncoding.__post_init__
-    monkeypatch.setattr(_Dilation, "encoding", lambda f: encodings.append(None) or encoding(f))
-    monkeypatch.setattr(BlockEncoding, "__post_init__", lambda e: checked.append(None) or post_init(e))
+    builds = count_dense_builds(monkeypatch)
     dense = count_calls(monkeypatch, "is_unitary")
     tracemalloc.start()
     try:
@@ -192,13 +188,13 @@ def test_run_augmented_builds_no_4n_dilation(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert encodings == checked == dense == []
+    assert builds == dense == []
     assert peak < 16 * (4 * dim) ** 2 + aug.A_tilde.nbytes
     assert np.max(np.abs(got - (a @ psi + b))) <= 1e-9
-    enc = aug.enc
-    assert aug.enc is enc
-    assert len(encodings) == len(checked) == 1
-    assert np.array_equal(enc.U, block_encode(aug.A_tilde).U)
+    u = aug.enc.U
+    assert aug.enc.U is u
+    assert builds == [aug.enc] and len(dense) == 1
+    assert np.array_equal(u, block_encode(aug.A_tilde).U)
 
 
 @given(

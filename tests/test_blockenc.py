@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from conftest import random_contraction, random_state_vector, random_unitary
+from conftest import broken_residual, nan_at_largest, random_contraction, random_state_vector, random_unitary
 from hypothesis import given
 from hypothesis import strategies as st
 from test_stage_properties import MATRICES
 
 from qaffine import (
-    BlockEncoding,
+    AffineSequence,
+    AffineStep,
     EncodingError,
     InvalidInputError,
     ShapeError,
@@ -14,6 +17,7 @@ from qaffine import (
     block_encode,
     build_augmented,
     is_unitary,
+    run_pipeline,
 )
 from qaffine.blockenc import ONE_TOL, UNITARY_TOL, _check_isometry, _deviation, _factor, _write_dilation
 from qaffine.linalg import gram_deviation
@@ -133,27 +137,78 @@ def test_block_encode_factors_once(monkeypatch):
         assert norm_calls == []
 
 
-def test_block_encoding_checks_unitarity_when_built():
-    with pytest.raises(EncodingError):
-        BlockEncoding(np.diag([1.0, 2.0]), 1.0)
-    # a unitary of odd side is no dilation: A's side, half U's, is not whole
-    with pytest.raises(ShapeError):
-        BlockEncoding(np.eye(3), 1.0)
+def test_block_encoding_checks_unitarity_when_built(monkeypatch):
+    # U is built, and checked whole, on its first read.  A residual zeroed,
+    # or holding a NaN, where the block format keeps it (the pairs' rs of a
+    # diagonal, the core's R of a dense A) fails that check on every read,
+    # and block_encode, which reads U, raises
+    import qaffine.blockenc
 
-
-@pytest.mark.parametrize("alpha", [-3.0, 0.0, float("nan"), float("inf")])
-def test_block_encoding_refuses_alpha_that_is_not_a_finite_positive_scale(alpha):
-    with pytest.raises(InvalidInputError):
-        BlockEncoding(np.eye(2), alpha)
+    factor = qaffine.blockenc._factor
+    for broken in (np.zeros_like, nan_at_largest):
+        for a in (0.5 * np.eye(2), random_contraction(np.random.default_rng(47), 2)):
+            f = broken_residual(factor(a), broken)
+            for _ in range(2):
+                with pytest.raises(EncodingError):
+                    f.U
+        monkeypatch.setattr(qaffine.blockenc, "_factor", lambda m: broken_residual(factor(m), broken))
+        with pytest.raises(EncodingError):
+            block_encode(0.5 * X)
 
 
 def test_block_encoding_holds_a_read_only_copy():
-    u = np.eye(4, dtype=complex)
-    enc = BlockEncoding(u, 1.0)
-    u[0, 0] = 2.0
-    assert enc.U[0, 0] == 1.0
+    # U is built on the first read, not by _factor, then cached read-only:
+    # a later change to the input does not reach it
+    a = 0.5 * X
+    f = _factor(a)
+    assert "U" not in vars(f)
+    u = f.U
+    assert f.U is u
+    a[0, 1] = 2.0
+    assert u[0, 1] == 0.5
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
     with pytest.raises(ValueError):
         block_encode(0.5 * X).U[0, 0] = 2.0
+
+
+OVERFLOW_SCALES = (1e155, 1e200, 1e300)
+
+
+def overflowing(n, scale):
+    """A dense complex matrix with finite entries whose Gram overflows."""
+    rng = np.random.default_rng(48)
+    dim = 1 << n
+    return scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+@pytest.mark.parametrize("scale", OVERFLOW_SCALES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_finite_entries_that_overflow_are_invalid_input(n, scale):
+    # refused before the eigendecomposition (which fails to converge on an
+    # infinite Gram) and with no overflow warning, on every route
+    a = overflowing(n, scale)
+    dim = 1 << n
+    psi = np.eye(dim)[0]
+    with pytest.raises(InvalidInputError):
+        block_encode(a)
+    with pytest.raises(InvalidInputError):
+        build_augmented(a, psi, psi)
+    for mode in ("abstract", "physical"):
+        for b in (None, psi):
+            with pytest.raises(InvalidInputError):
+                run_pipeline(AffineSequence(n, psi, (AffineStep(a, b),)), mode)
+
+
+def test_overflowing_modulus_is_invalid_input():
+    # |1.7e308 (1 + i)| is infinite: sigma_max, and alpha, would be
+    d = np.array([1.7e308 + 1.7e308j, 0.5])
+    with pytest.raises(InvalidInputError):
+        block_encode(np.diag(d))
+    for a in (d, np.diag(d)):
+        for mode in ("abstract", "physical"):
+            with pytest.raises(InvalidInputError):
+                run_pipeline(AffineSequence(1, [1.0, 0.0], (AffineStep(a),)), mode)
 
 
 def test_singular_values_at_one_give_exact_zero_residual():
@@ -256,9 +311,8 @@ def test_gram_route_at_singular_value_edges(n, pairs, unit_top, scale, seed):
     assert (f.alpha == 1.0) == (scale == 1.0)
     _check_isometry(f, "step 1")
     assert _deviation(f) <= 1e-12
-    enc = f.encoding()
-    assert gram_deviation(enc.U) <= 1e-12
-    assert np.array_equal(enc.U[:n, :n], a / f.alpha)
+    assert gram_deviation(f.U) <= 1e-12
+    assert np.array_equal(f.U[:n, :n], a / f.alpha)
 
 
 # --- the block-by-block check of [A; R] against the dense check -----------
@@ -302,8 +356,8 @@ def test_block_check_decides_as_the_dense_check(kind, n, scale, stretch, seed):
     f = _factor(scale * BLOCK_KINDS[kind](rng, 1 << n))
     dim = f.rs.shape[0]
     k = 1.0 + stretch
-    dense = dense_deviation(f.encoding().U[:, :dim] * k)
-    g = f._replace(a=k * f.a, r=k * f.r, p=k * f.p, rs=k * f.rs)
+    dense = dense_deviation(f.U[:, :dim] * k)
+    g = dataclasses.replace(f, a=k * f.a, r=k * f.r, p=k * f.p, rs=k * f.rs)
     block = _deviation(g)
     assert abs(block - dense) <= 1e-15
     assert (block <= UNITARY_TOL) == (dense <= UNITARY_TOL)
@@ -337,7 +391,7 @@ def test_write_dilation_matches_the_dense_products(n, batch, scale, half, seed):
         m = scale * make(rng, 1 << n)
         f = _factor(m)
         dim = f.rs.shape[0]
-        u = f.encoding().U
+        u = f.U
         dense_a, dense_r = w * np.ascontiguousarray(u[:dim, :dim]), w * np.ascontiguousarray(u[dim:, :dim])
         x = np.array([random_state_vector(rng, dim) for _ in range(batch)])
         a_out, r_out = np.empty_like(x), np.empty_like(x)

@@ -170,6 +170,13 @@ def test_dense_gate_keeps_a_read_only_copy():
             gate.matrix[0, 0] = 2.0
 
 
+def test_building_a_gate_validates_its_matrix_once(monkeypatch):
+    # the unitarity check reads the matrix `as_matrix` already validated
+    calls = count_calls(monkeypatch, "as_matrix")
+    block(random_unitary(np.random.default_rng(34), 4), (1, 0))
+    assert len(calls) == 1
+
+
 def test_running_built_gates_checks_no_unitarity(monkeypatch):
     rng = np.random.default_rng(35)
     gates = [

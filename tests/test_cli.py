@@ -4,10 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_contraction, random_state_vector
+from conftest import count_dense_builds, random_contraction, random_state_vector
 
 from qaffine import AffineSequence, AffineStep, SchemaError, block_encode, build_augmented
-from qaffine.blockenc import _Dilation
 from qaffine.cli import _build_parser, main, parse_problem
 
 
@@ -234,14 +233,12 @@ def test_baseline_runs_and_verifies(tmp_path):
 def test_baseline_summary_and_alpha(tmp_path, capsys, monkeypatch):
     # the summary names the dilation's dimension 4N and the metadata its
     # alpha, both read without building the 4N x 4N U
-    encodings = []
-    encoding = _Dilation.encoding
-    monkeypatch.setattr(_Dilation, "encoding", lambda f: encodings.append(None) or encoding(f))
+    builds = count_dense_builds(monkeypatch)
     problem = simple_problem(tmp_path, n=2)
     out = tmp_path / "out"
     assert main(["baseline", problem, "--out-dir", str(out)]) == 0
     assert "augmented dilation dimension: 16\n" in capsys.readouterr().out
-    assert encodings == []
+    assert builds == []
     seq, _ = parse_problem(problem)
     step = seq.steps[0]
     enc = block_encode(build_augmented(step.A, step.B, seq.psi0).A_tilde)
@@ -300,6 +297,22 @@ def test_off_norm_translation_exits_3_on_every_command(tmp_path, capsys):
     for argv in (["run"], ["baseline"], ["gates", "compare"]):
         assert main([*argv, problem, "--out-dir", str(tmp_path / argv[0])]) == 3
         assert "normalization: translation norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflowing_entries_exit_3(tmp_path, capsys, n, scale):
+    # finite entries whose Gram overflows are invalid input, refused before
+    # the eigendecomposition: run and baseline print one diagnostic line
+    # and exit 3, with no traceback and no overflow warning
+    path = simple_problem(tmp_path, n=n)
+    payload = json.loads(Path(path).read_text())
+    payload["steps"][0]["A"] = [[[scale * re, scale * im] for re, im in row] for row in payload["steps"][0]["A"]]
+    problem = write_problem(tmp_path / "overflow.json", payload)
+    for argv in (["run"], ["baseline"]):
+        assert main([*argv, problem, "--out-dir", str(tmp_path / argv[0])]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid-input: "), lines
 
 
 # --- gates compare ----------------------------------------------------------------

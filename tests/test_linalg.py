@@ -30,6 +30,10 @@ def test_is_unitary():
     assert not is_unitary(0.999 * h, 1e-10)
     with pytest.raises(ShapeError):
         is_unitary(np.zeros((2, 3)), 1e-10)
+    with pytest.raises(ShapeError):
+        is_unitary(np.ones(4), 1e-10)
+    # its callers validated the entries; a NaN reads as not unitary
+    assert not is_unitary(np.where(np.eye(2) == 1, np.nan, 0.0), 1e-10)
 
 
 def test_is_unitary_random():

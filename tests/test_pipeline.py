@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import broken_residual, count_calls, nan_at_largest, random_contraction, random_real_unit, random_state_vector
+from conftest import broken_residual, count_calls, count_dense_builds, nan_at_largest, random_contraction, random_real_unit, random_state_vector
 
 from qaffine import (
     AffineSequence,
@@ -249,8 +249,8 @@ def test_physical_checks_no_matrix_wider_than_the_dilation(monkeypatch):
 
 
 def test_physical_stage_factors_and_checks_its_dilation_once(monkeypatch):
-    # one eigendecomposition, of the N x N Gram, and one unitarity check of
-    # the 2N x 2N dilation per dense step; the checked BlockEncoding covers
+    # one eigendecomposition, of the N x N Gram, and one build and unitarity
+    # check of the 2N x 2N dilation U per dense step; the checked U covers
     # the isometry, so that check is skipped
     eigh_shapes = []
     eigh = np.linalg.eigh
@@ -262,12 +262,15 @@ def test_physical_stage_factors_and_checks_its_dilation_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
     checks = count_calls(monkeypatch, "is_unitary")
     isometry = count_calls(monkeypatch, "_check_isometry")
+    builds = count_dense_builds(monkeypatch)
     rng = np.random.default_rng(79)
     for n, k in ((1, 3), (2, 2), (3, 1)):
         eigh_shapes.clear()
         checks.clear()
+        builds.clear()
         run_pipeline(random_sequence(rng, n, k), mode="physical")
         assert eigh_shapes == [(1 << n, 1 << n)] * k
+        assert len({id(f) for f in builds}) == len(builds) == k
         assert sum(np.shape(args[0])[0] == 2 << n for args in checks) == k
         assert isometry == []
 
@@ -443,15 +446,11 @@ def test_dense_contraction_slack_is_rescaled():
 
 
 def test_abstract_mode_never_builds_the_dilation(monkeypatch):
-    import qaffine.blockenc
-
-    def refuse(_):
-        raise AssertionError("abstract mode built a 2N x 2N dilation")
-
-    monkeypatch.setattr(qaffine.blockenc._Dilation, "encoding", refuse)
+    builds = count_dense_builds(monkeypatch)
     rng = np.random.default_rng(72)
     seq = random_sequence(rng, 2, 3)
     got = extract_result(run_pipeline(seq))
+    assert builds == []
     assert np.max(np.abs(got - classical_affine_compose(seq))) <= 1e-10
 
 

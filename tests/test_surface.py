@@ -2,10 +2,10 @@
 module defines, and every public method or property of such a class has a
 user besides its own unit tests: a package module other than `__init__`, or
 the acceptance criteria.  Only `synthesis` imports scipy, and only a use of
-one of its names loads it.  One call site factors every dilation and one
-writes its blocks out densely, one kernel applies every gate, one entry runs
-every pipeline stage, and one replay checks every gate witness.  A gate is
-checked once, where it is built.  Synthesis calls LAPACK only through its
+one of its names loads it.  One call site factors every dilation, into one
+dilation type, and one writes its blocks out densely, one kernel applies
+every gate, one entry runs every pipeline stage, and one replay checks
+every gate witness.  A gate is checked once, where it is built.  Synthesis calls LAPACK only through its
 cached drivers."""
 
 import ast
@@ -121,12 +121,23 @@ def test_one_factorization_site():
 
 
 def test_one_densification_site():
-    # a dilation keeps only A's direct-sum blocks: `_Dilation.encoding`
-    # alone writes them out densely, to build U, and neither the check of
-    # [A; R] nor the stage write counts nonzeros to rediscover the split
-    assert _calls_named({"_dense"}) == [("blockenc", "encoding", "_dense")]
+    # a dilation keeps only A's direct-sum blocks: the first read of
+    # `BlockEncoding.U` alone writes them out densely, and neither the check
+    # of [A; R] nor the stage write counts nonzeros to rediscover the split
+    assert _calls_named({"_dense"}) == [("blockenc", "U", "_dense")]
     counts = _calls_named({"count_nonzero"})
     assert [site for site in counts if site[1] in ("_check_isometry", "_deviation", "_write_dilation")] == []
+
+
+def test_one_dilation_type():
+    # `_factor`'s factorization is the dilation: one type, `BlockEncoding`,
+    # whose U is built from its blocks, not a second type converted to it
+    assert _calls_named({"BlockEncoding"}) == [("blockenc", "_factor", "BlockEncoding")]
+    for module in PACKAGE.glob("*.py"):
+        tree = ast.parse(module.read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        names = defined | _referenced_names(module)
+        assert "encoding" not in names and not any(name.endswith("Dilation") for name in names), module.stem
 
 
 def test_one_gate_kernel():
@@ -145,9 +156,9 @@ def test_one_gate_check():
     # made from a built one checks only its new wiring; the kernel runs
     # built gates, so `_apply` converts no index and `_layout` checks only
     # the register width.  The other unitarity checks are a dilation's
-    # whole U and the input to `synthesize`
+    # whole U, on its first read, and the input to `synthesize`
     assert _calls_named({"is_unitary"}) == [
-        ("blockenc", "__post_init__", "is_unitary"),
+        ("blockenc", "U", "is_unitary"),
         ("simulator", "__post_init__", "is_unitary"),
         ("synthesis", "synthesize", "is_unitary"),
     ]
