@@ -3,8 +3,9 @@
 Subcommands: run, baseline, gates compare, demo portfolio, demo signal.
 Problem files are versioned JSON (see parse_problem); complex numbers are
 [re, im] pairs.  Exit codes: 0 success, 1 verification failure, 2 malformed
-problem file, 3 violated engine precondition, 4 capacity exceeded.  The
-QAFFINE_SEED environment variable supplies the default sampling seed.
+problem file, 3 violated engine precondition, 4 capacity exceeded (a
+MemoryError included).  The QAFFINE_SEED environment variable supplies the
+default sampling seed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .pipeline import (
     extract_result,
     run_pipeline,
 )
+from .simulator import MAX_QUBITS
 
 MODES = ("abstract", "physical")
 
@@ -278,6 +280,10 @@ def cmd_demo_portfolio(args) -> int:
 
 
 def cmd_demo_signal(args) -> int:
+    # the filter is one pipeline step on log2(length) base qubits, which adds two
+    longest = 1 << (MAX_QUBITS - 2)
+    if args.length > longest:
+        raise CapacityError(f"signal length {args.length} exceeds {longest}, the longest one filter step can run")
     seed = _default_seed(args.seed)
     samples = random_two_tone(args.length, seed)
     spec = SignalSpec(samples, args.scale_a, args.bias_b)
@@ -372,8 +378,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"{CapacityError.name}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except QAffineError as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)

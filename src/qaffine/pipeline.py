@@ -28,12 +28,23 @@ such a step is O(N) from the input check to the stage, with no N x N array.
 Both ancillas of a step are new most significant qubits, so the register
 after step j is the prefix of the register after step j + 1: its d
 amplitudes are the first d of the next register's 4d.  `run_pipeline`
-therefore allocates one buffer of 2^(n + 2k) amplitudes and runs each stage
+therefore takes one buffer of 2^(n + 2k) amplitudes and runs each stage
 in place, rewriting buf[:4d] from buf[:d] in one pass (`_stage`): the
 halved dilation blocks X (A/2)^T and X (R/2)^T go to [2d, 3d) and [d, 2d),
 clear of the input, and are copied to [0, d) and [3d, 4d); +-b~/2 is then
 folded in on b~'s support, its first N entries and the garbage index
 2d - 1.  No register-size translation vector is built.
+
+The buffer outlives its run.  glibc serves every allocation of 32 MiB or
+more (21 qubits and up) from a fresh mmap, which a run would first fault in
+and zero page by page: about a third of a 21- or 22-qubit run.  So the
+module keeps the latest run's buffer, and `_register` gives the next run a
+prefix view of it when nothing but the module refers to it (no result,
+view or slice of it is alive) and it is at most 4x the request; otherwise
+it lets the buffer go, then allocates and keeps a new one.  A lock keeps
+two threads from taking the same buffer.  Each stage writes all of buf[:4d]
+from buf[:d] before reading it, so a reused buffer gives the register a
+new one gives, bit for bit.
 
 Physical mode runs the same stages and appends each step's gates to a
 witness (the dilation U, then `addsub.addsub_stage_gates`); one replay at
@@ -42,6 +53,8 @@ the end must prepare the final register within `addsub.WITNESS_TOL`.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +77,14 @@ CONTRACTION_TOL = 1e-10
 UNIT_ROUNDING_TOL = 1e-12
 
 
+def _private(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a validated input, so a later write to the
+    caller's array cannot reach a checked step or sequence."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class AffineStep:
     """One stage x -> A x + weight * B.  A is a square matrix, or a 1-d
@@ -72,7 +93,9 @@ class AffineStep:
     translation.  B must be a unit vector within UNIT_NORM_TOL (else
     NormalizationError); one off by more than rounding is stored as B / |B|.
     The weight lies in [-1, 1] (else NormalizationError): the stage folds in
-    weight * B / 2^(j-1) with a residual that keeps b~ a unit vector."""
+    weight * B / 2^(j-1) with a residual that keeps b~ a unit vector.  A
+    and B are held as read-only copies (`_private`), as is a sequence's
+    psi0."""
 
     A: np.ndarray
     B: np.ndarray | None = None
@@ -82,7 +105,7 @@ class AffineStep:
         a = as_vector(self.A) if np.ndim(self.A) == 1 else as_matrix(self.A)
         if a.ndim == 2 and a.shape[0] != a.shape[1]:
             raise ShapeError(f"step matrix must be square, got {a.shape}")
-        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "A", _private(a))
         if self.B is not None:
             b = as_vector(self.B)
             if b.shape[0] != a.shape[0]:
@@ -97,7 +120,7 @@ class AffineStep:
                 # rounding, and B is kept bit for bit there: renormalizing
                 # is not idempotent, and problem files must round-trip.
                 b = b / nrm
-            object.__setattr__(self, "B", b)
+            object.__setattr__(self, "B", _private(b))
         w = float(self.weight)
         if not -1.0 <= w <= 1.0:
             raise NormalizationError(f"translation weight {w!r} outside [-1, 1]")
@@ -118,7 +141,7 @@ class AffineSequence:
             raise ShapeError(
                 f"psi0 length {psi.shape[0]} != 2^{self.n}"
             )
-        object.__setattr__(self, "psi0", psi)
+        object.__setattr__(self, "psi0", _private(psi))
         steps = tuple(self.steps)
         if not steps:
             raise InvalidInputError("sequence needs at least one step")
@@ -195,13 +218,42 @@ def _stage(buf: np.ndarray, d: int, f: BlockEncoding, head: np.ndarray, residual
     _fold(buf, 2 * d, support[:-1], support[-1])
 
 
+_kept = np.empty(0, dtype=np.complex128)  # the latest run's register buffer
+_kept_lock = threading.Lock()
+
+
+def _kept_refs() -> int:
+    """References to the kept buffer: the slot's, this call's, and one more
+    for each result, view or slice of it that is alive (numpy points every
+    view, however derived, at the array that owns the memory)."""
+    return sys.getrefcount(_kept)
+
+
+_IDLE_REFS = _kept_refs()  # only the slot holds the buffer here
+
+
+def _register(size: int) -> np.ndarray:
+    """An uninitialized register of `size` amplitudes: a prefix view of the
+    kept buffer when nothing but the slot refers to it and it holds at most
+    4 * size amplitudes, else a new buffer that the slot keeps in its place.
+    The old buffer is let go first, so two kept buffers never coexist."""
+    global _kept
+    with _kept_lock:
+        if size <= _kept.shape[0] <= 4 * size and _kept_refs() == _IDLE_REFS:
+            return _kept[:size]
+        _kept = np.empty(0, dtype=np.complex128)  # frees an idle buffer first
+        _kept = np.empty(size, dtype=np.complex128)
+        return _kept
+
+
 def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
     """Run every step; the composed affine image is scale * amplitudes at
     result_indices, with scale exactly 2^k.
 
     Both modes run every stage in place in one buffer of 2^(n + 2k)
-    amplitudes.  Physical mode also builds the gate witness and checks once,
-    at the end, that it prepares the final register (PreconditionError)."""
+    amplitudes, taken from `_register`.  Physical mode also builds the gate
+    witness and checks once, at the end, that it prepares the final
+    register (PreconditionError)."""
     if mode not in ("abstract", "physical"):
         raise InvalidInputError(f"unknown pipeline mode {mode!r}")
     n, k = seq.n, seq.k
@@ -209,7 +261,7 @@ def run_pipeline(seq: AffineSequence, mode: str = "abstract") -> PipelineResult:
         raise CapacityError(
             f"pipeline needs {n + 2 * k} qubits (n={n}, k={k}), cap is {MAX_QUBITS}"
         )
-    buf = np.empty(1 << (n + 2 * k), dtype=np.complex128)
+    buf = _register(1 << (n + 2 * k))
     d = 1 << n
     buf[:d] = simulator.init_amplitudes(seq.psi0).amplitudes
     witness: GateList | None = None

@@ -9,9 +9,11 @@ Conventions used throughout the package:
   within the local index space of the applied matrix: for a two-qubit unitary
   U and targets (a, b), the local row index is 2*bit(a) + bit(b).
 * Operations are pure: they return a new QuantumState and never mutate their
-  input.  So do the package's other public operations.  The abstract
-  pipeline rewrites amplitudes in place only inside the one register buffer
-  it allocates for a run (see `pipeline`), never in a caller's array.
+  input.  So do the package's other public operations.  The pipeline
+  rewrites amplitudes in place only inside its run's register buffer, never
+  in a caller's array.  That buffer is the one the module kept from an
+  earlier run only when no result, view or slice of it is alive (see
+  `pipeline`), so a later run never writes a result that is held.
 * Sampling draws one uniform variate per shot from numpy's default_rng (PCG64,
   a seedable 64-bit generator) and inverts the cumulative distribution of
   |amplitude|^2, so histograms are reproducible for a fixed seed.

@@ -1,13 +1,16 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import count_dense_builds, random_contraction, random_state_vector
 
-from qaffine import AffineSequence, AffineStep, SchemaError, block_encode, build_augmented
+import qaffine.cli
+from qaffine import AffineSequence, AffineStep, InvalidInputError, SchemaError, block_encode, build_augmented
 from qaffine.cli import _build_parser, main, parse_problem
+from qaffine.simulator import MAX_QUBITS
 
 
 def write_problem(path, payload):
@@ -470,6 +473,40 @@ def test_demo_signal_invalid_scale(tmp_path, capsys):
     code = main(["demo", "signal", "--scale-a", "nan", "--out-dir", str(tmp_path / "o")])
     assert code == 3
     assert "invalid-input:" in capsys.readouterr().err
+
+
+def test_demo_sizes_past_memory_exit_4(tmp_path, capsys):
+    # a signal length past 2^(MAX_QUBITS - 2) is refused before its samples
+    # exist; 10^12 portfolio shots fail numpy's allocation of their 7.3 TiB
+    # of draws at once (no machine has it), which exits 4 like any capacity
+    # error, not with a traceback.  Neither writes an output
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert main(["demo", "signal", "--length", "1099511627776", "--out-dir", str(out)]) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "capacity: signal length 1099511627776 exceeds" in capsys.readouterr().err
+    assert main(["demo", "portfolio", "--shots", "1000000000000", "--out-dir", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("capacity: Unable to allocate")
+    assert not out.exists()
+
+
+def test_demo_signal_longest_length_passes_the_capacity_check(tmp_path, monkeypatch, capsys):
+    # 2^(MAX_QUBITS - 2) samples fit one filter step: the length reaches the
+    # sample generator, here a stand-in that refuses it without allocating.
+    # A MemoryError without a message still prints one line
+    args = ["demo", "signal", "--length", str(1 << (MAX_QUBITS - 2)), "--out-dir", str(tmp_path / "o")]
+    for error, code, line in ((InvalidInputError("reached"), 3, "invalid-input: reached"), (MemoryError(), 4, "capacity: out of memory")):
+
+        def refuse(length, seed, error=error):
+            raise error
+
+        monkeypatch.setattr(qaffine.cli, "random_two_tone", refuse)
+        assert main(args) == code
+        assert capsys.readouterr().err == line + "\n"
 
 
 def test_version_flag(capsys):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,11 +16,14 @@ from qaffine import (
     NormalizationError,
     PreconditionError,
     ShapeError,
+    build_augmented,
     classical_affine_compose,
     extract_result,
+    run_augmented,
     run_gatelist,
     run_pipeline,
 )
+from qaffine import pipeline
 from qaffine.pipeline import _translation_support
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -516,3 +521,133 @@ def test_broken_dilation_columns_raise_encoding_error(monkeypatch):
                 run_pipeline(seq)
             with pytest.raises(EncodingError):
                 run_pipeline(seq, mode="physical")
+
+
+def test_step_and_sequence_hold_private_copies():
+    # complex128 inputs need no conversion, yet writes to the caller's
+    # arrays after construction reach neither the run, the oracle nor the
+    # baseline; a 1-d diagonal is copied as a 1-d array
+    rng = np.random.default_rng(83)
+    a = random_contraction(rng, 4)
+    diag = 0.8 * np.exp(2j * np.pi * rng.uniform(size=4))
+    b, psi = random_state_vector(rng, 4), random_state_vector(rng, 4)
+    seq = AffineSequence(2, psi, (AffineStep(a, b), AffineStep(diag, b, 0.5)))
+
+    def outputs():
+        aug = build_augmented(seq.steps[0].A, seq.steps[0].B, seq.psi0)
+        runs = [run_pipeline(seq, mode).state.amplitudes.copy() for mode in ("abstract", "physical")]
+        return [*runs, classical_affine_compose(seq), run_augmented(aug)]
+
+    before = outputs()
+    a[0, 0], diag[0], b[0], psi[0] = 7.0, 7.0, 5.0, 5.0
+    assert all(np.array_equal(x, y) for x, y in zip(outputs(), before))
+    assert seq.steps[1].A.shape == (4,)
+    for arr in (seq.psi0, *(x for step in seq.steps for x in (step.A, step.B))):
+        assert not arr.flags.writeable
+
+
+# --- the kept register buffer ----------------------------------------------------
+
+
+def sized_sequence(rng, n, k):
+    """A random sequence on 2^(n + 2k) amplitudes, its steps dense,
+    diagonal and scalar by turns."""
+    dim = 1 << n
+    kinds = (lambda: random_contraction(rng, dim), lambda: 0.9 * np.exp(2j * np.pi * rng.uniform(size=dim)), lambda: 0.7 * np.eye(dim))
+    steps = tuple(AffineStep(kinds[j % 3](), random_state_vector(rng, dim) if j % 2 == 0 else None) for j in range(k))
+    return AffineSequence(n, random_state_vector(rng, dim), steps)
+
+
+@pytest.mark.parametrize("mode", ["abstract", "physical"])
+def test_held_results_are_never_written_by_later_runs(mode):
+    # a held result, and a held slice of a dropped one, keep their buffer
+    # from being reused: later runs of the same, smaller and larger sizes
+    # leave them bit for bit as they were
+    rng = np.random.default_rng(84)
+    seq = sized_sequence(rng, 2, 3)
+    held = run_pipeline(seq, mode)
+    held_copy = held.state.amplitudes.copy()
+    tail = run_pipeline(seq, mode).state.amplitudes[-40:]
+    tail_copy = tail.copy()
+    for n, k in ((2, 3), (2, 2), (1, 2), (2, 4), (2, 3)):
+        other = sized_sequence(rng, n, k)
+        res = run_pipeline(other, mode)
+        assert np.max(np.abs(extract_result(res) - classical_affine_compose(other))) <= 1e-9
+    assert np.array_equal(held.state.amplitudes, held_copy)
+    assert np.array_equal(tail, tail_copy)
+    assert np.max(np.abs(extract_result(held) - classical_affine_compose(seq))) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["abstract", "physical"])
+def test_dropped_result_buffer_is_reused_within_4x(mode, monkeypatch):
+    # once a result is dropped, a run of the same size or of up to 4x fewer
+    # amplitudes takes a prefix of its buffer, the one the module keeps
+    monkeypatch.setattr(pipeline, "_kept", np.empty(0, dtype=np.complex128))
+    rng = np.random.default_rng(85)
+
+    def data(n, k):
+        amps = run_pipeline(sized_sequence(rng, n, k), mode).state.amplitudes
+        assert np.shares_memory(amps, pipeline._kept)
+        return amps.ctypes.data
+
+    first = data(2, 3)
+    assert pipeline._kept.shape == (1 << 8,)
+    assert data(2, 3) == first
+    assert data(2, 2) == first
+    # 2^5 amplitudes are 8x below the kept 2^8: the module keeps a new
+    # buffer of their size instead
+    data(1, 2)
+    assert pipeline._kept.shape == (1 << 5,)
+
+
+def test_repeated_runs_keep_one_register_alive():
+    # 18 qubits (4 MiB): after the first run the module keeps one register,
+    # and the runs after it allocate none, so that one is all that is alive
+    seq = sized_sequence(np.random.default_rng(86), 4, 7)
+    nbytes = 16 << 18
+    extract_result(run_pipeline(seq))
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            extract_result(run_pipeline(seq))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < nbytes / 2 and current < nbytes / 2
+    assert nbytes <= pipeline._kept.nbytes <= 4 * nbytes
+
+
+@pytest.mark.parametrize("mode", ["abstract", "physical"])
+def test_concurrent_runs_share_no_buffer(mode):
+    # more threads than cores, each running pipelines of several sizes with
+    # a short switch interval: every register matches its single-threaded
+    # run bit for bit, and every result the oracle
+    rng = np.random.default_rng(87)
+    seqs = [sized_sequence(rng, n, k) for n, k in ((2, 3), (2, 2), (1, 3), (2, 4))]
+    expected = [run_pipeline(seq, mode).state.amplitudes.copy() for seq in seqs]
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(12):
+                j = (i + offset) % len(seqs)
+                res = run_pipeline(seqs[j], mode)
+                if not np.array_equal(res.state.amplitudes, expected[j]):
+                    failures.append(("register", j))
+                if not np.max(np.abs(extract_result(res) - classical_affine_compose(seqs[j]))) <= 1e-9:
+                    failures.append(("oracle", j))
+        except Exception as exc:  # reported through `failures`, read below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -4,8 +4,8 @@ user besides its own unit tests: a package module other than `__init__`, or
 the acceptance criteria.  Only `synthesis` imports scipy, and only a use of
 one of its names loads it.  One call site factors every dilation, into one
 dilation type, and one writes its blocks out densely, one kernel applies
-every gate, one entry runs every pipeline stage, and one replay checks
-every gate witness.  A gate is checked once, where it is built.  Synthesis calls LAPACK only through its
+every gate, one entry runs every pipeline stage, one helper hands it
+every register buffer, and one replay checks every gate witness.  A gate is checked once, where it is built.  Synthesis calls LAPACK only through its
 cached drivers."""
 
 import ast
@@ -194,6 +194,16 @@ def test_one_stage_entry():
     # it alone factors a step, builds its b~ support and writes the stage
     for name in ("_stage", "_step_dilation", "_translation_support"):
         assert _calls_named({name}) == [("pipeline", "run_pipeline", name)]
+
+
+def test_one_register_allocation():
+    # a run's register is the kept buffer or a prefix of it: `run_pipeline`
+    # takes it from `pipeline._register`, which alone allocates one
+    assert _calls_named({"_register"}) == [("pipeline", "run_pipeline", "_register")]
+    assert {site[1] for site in _calls_named({"empty", "empty_like"}) if site[0] == "pipeline"} == {None, "_register"}
+    # the one other array a run builds is physical mode's b~ on 2d amplitudes
+    makers = {"empty", "zeros", "ones", "full", "empty_like", "zeros_like"}
+    assert [site[2] for site in _calls_named(makers) if site[1] == "run_pipeline"] == ["np.zeros"]
 
 
 def test_apps_writes_out_no_identity():
