@@ -14,9 +14,10 @@ Conventions used throughout the package:
   in a caller's array.  That buffer is the one the module kept from an
   earlier run only when no result, view or slice of it is alive (see
   `pipeline`), so a later run never writes a result that is held.
-* Sampling draws one uniform variate per shot from numpy's default_rng (PCG64,
-  a seedable 64-bit generator) and inverts the cumulative distribution of
-  |amplitude|^2, so histograms are reproducible for a fixed seed.
+* Sampling makes one multinomial draw from numpy's default_rng (PCG64, a
+  seedable 64-bit generator) over the nonzero |amplitude|^2, so a histogram
+  costs O(2^q) for any shot count, never counts a zero-probability basis
+  state, and is reproducible for a fixed seed.
 * A `Gate` checks itself once, when it is built: integer qubit indices, no
   qubit used twice, control values that are bits, the wiring its kind takes
   ("single": one target, no control; "cnot": one of each; "block": any),
@@ -51,6 +52,7 @@ from .errors import (
 from .linalg import UNITARY_ATOL, Reflector, as_matrix, as_vector, check_unit_norm, is_unitary
 
 MAX_QUBITS = 24
+MAX_SHOTS = 2**63 - 1  # numpy counts shots in int64
 NORM_ATOL = 1e-10
 LAYOUT_CACHE_SIZE = 1024  # layouts kept; a perfbench `physical` cycle uses 291
 
@@ -240,23 +242,29 @@ def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=(
 def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     """Measure all qubits `shots` times; deterministic for a fixed seed.
 
-    One uniform variate per shot, inverse CDF: the draws are sorted in place
-    and the CDF is searched into them, so the work is one sort of the shots
-    plus a search per bin, and the counts are differences of the search
-    results.  The histogram equals a per-shot search of each draw."""
-    shots, seed = int(shots), int(seed)
+    One multinomial draw over the support of |amplitude|^2: numpy draws it
+    as a chain of conditional binomials, so the counts have the law of
+    `shots` independent measurements, and the work and memory are O(2^q)
+    whatever `shots` is.  The draw skips the zero-probability bins, since
+    numpy gives the rounding remainder to the last bin it is handed."""
+    try:
+        # int() would truncate 2.7 shots to 2, and a bool is an int
+        if any(isinstance(x, (bool, np.bool_)) for x in (shots, seed)):
+            raise TypeError
+        shots, seed = operator.index(shots), operator.index(seed)
+    except TypeError:
+        raise InvalidInputError(f"shots and seed must be integers, got {shots!r} and {seed!r}") from None
     if shots < 1:
         raise InvalidInputError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise CapacityError(f"shots {shots} exceed {MAX_SHOTS}, the most an int64 count holds")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    _check_normalized(state.amplitudes)
     probs = np.abs(state.amplitudes) ** 2
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    draws = rng.random(shots)
-    draws.sort()
-    # a draw lands in bin i when cdf[i-1] <= draw < cdf[i], and in the last
-    # bin when it is >= cdf[-2]; so #{draws < cdf[i]} counts bins 0..i
-    below = np.searchsorted(draws, cdf[:-1], side="left")
-    counts = np.diff(below, prepend=0, append=shots)
-    return ShotHistogram(shots, {int(i): int(counts[i]) for i in np.flatnonzero(counts)})
+    support = np.flatnonzero(probs)
+    p = probs[support]
+    p /= p.sum()
+    counts = np.random.default_rng(seed).multinomial(shots, p)
+    hit = counts > 0
+    return ShotHistogram(shots, dict(zip(support[hit].tolist(), counts[hit].tolist())))

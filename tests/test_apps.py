@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from conftest import dft_matrix, embed_unitary_oracle, random_state_vector
+from scipy.special import bdtr, bdtrc
 
 from qaffine import (
     CapacityError,
@@ -91,6 +93,23 @@ def test_portfolio_estimate_tracks_probabilities():
         prob = abs(st.amplitudes[index]) ** 2
         sigma = np.sqrt(prob * (1 - prob) / shots)
         assert abs(freq.get(bits, 0.0) - prob) <= 5 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("seed", [7, 1234, 2**31 - 1])
+def test_m10_portfolio_histogram_passes_the_exact_binomial_tail(seed):
+    # the whole-histogram check of a 10^6-shot m = 10 portfolio: the
+    # smallest exact binomial tail of any of the 1,024 bins, times the bin
+    # count, must not fall below a one-sided 5-sigma normal tail
+    shots, m = 10**6, 10
+    p = random_portfolio(np.random.default_rng(94), m)
+    probs = np.abs(portfolio_circuit(p).amplitudes) ** 2
+    counts = np.zeros(1 << m)
+    for bits, f in portfolio_estimate(p, shots, seed).items():
+        counts[sum(b << r for r, b in enumerate(bits))] = round(f * shots)
+    assert counts.sum() == shots
+    below = bdtr(counts, shots, probs)
+    above = np.where(counts > 0, bdtrc(counts - 1, shots, probs), 1.0)
+    assert np.min(np.minimum(below, above)) * (1 << m) >= 0.5 * math.erfc(5.0 / math.sqrt(2.0))
 
 
 def test_portfolio_estimate_matches_its_per_bin_loop():

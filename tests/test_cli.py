@@ -477,9 +477,8 @@ def test_demo_signal_invalid_scale(tmp_path, capsys):
 
 def test_demo_sizes_past_memory_exit_4(tmp_path, capsys):
     # a signal length past 2^(MAX_QUBITS - 2) is refused before its samples
-    # exist; 10^12 portfolio shots fail numpy's allocation of their 7.3 TiB
-    # of draws at once (no machine has it), which exits 4 like any capacity
-    # error, not with a traceback.  Neither writes an output
+    # exist, and so is a shot count past int64, numpy's count type (10^20
+    # once ended in numpy's traceback).  Neither writes an output
     out = tmp_path / "o"
     tracemalloc.start()
     try:
@@ -489,9 +488,27 @@ def test_demo_sizes_past_memory_exit_4(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert "capacity: signal length 1099511627776 exceeds" in capsys.readouterr().err
-    assert main(["demo", "portfolio", "--shots", "1000000000000", "--out-dir", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("capacity: Unable to allocate")
+    for shots in ("9223372036854775808", "100000000000000000000"):
+        assert main(["demo", "portfolio", "--shots", shots, "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"capacity: shots {shots} exceed") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_demo_portfolio_memory_does_not_grow_with_shots(tmp_path):
+    # 10^12 shots are one multinomial draw over the 2^m bins: the run once
+    # asked numpy for 7.3 TiB of per-shot draws
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert main(["demo", "portfolio", "--shots", "1000000000000", "--out-dir", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with open(out / "portfolio.csv", newline="") as fh:
+        freqs = [float(row["empirical_frequency"]) for row in csv.DictReader(fh)]
+    assert sum(freqs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_demo_signal_longest_length_passes_the_capacity_check(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from conftest import (
     random_state_vector,
     random_unitary,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, multinomial
 
 from qaffine import (
     CapacityError,
@@ -274,33 +276,72 @@ def test_sample_basis_state_is_certain():
     assert h.counts == {0: 1000}
 
 
-def _per_shot_histogram(state, shots, seed):
-    """The inverse-CDF draw searched shot by shot: the reference for sample."""
-    cdf = np.cumsum(np.abs(state.amplitudes) ** 2)
-    cdf /= cdf[-1]
-    draws = np.random.default_rng(seed).random(shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    np.minimum(idx, state.dim - 1, out=idx)
-    values, counts = np.unique(idx, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+@st.composite
+def sparse_states(draw):
+    """States on 1..10 qubits whose zero-probability bins are none, a random
+    share or all but one, with or without both ends."""
+    q = draw(st.integers(1, 10))
+    dim = 1 << q
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = random_state_vector(rng, dim)
+    zeros = rng.random(dim) < draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    if draw(st.booleans()):
+        zeros[[0, -1]] = True
+    zeros[int(rng.integers(dim))] = False
+    amps[zeros] = 0.0
+    return QuantumState(q, amps / np.linalg.norm(amps))
 
 
-def test_sample_matches_per_shot_search():
-    rng = np.random.default_rng(27)
-    for i in range(320):
-        dim = 1 << int(rng.integers(1, 11))
-        amps = random_state_vector(rng, dim)
-        # zero-probability bins: none, a random subset, or all but one,
-        # at the ends as well as inside
-        zeros = rng.random(dim) < [0.0, 0.5, 1.0][i % 3]
-        zeros[int(rng.integers(dim))] = False
-        amps[zeros] = 0.0
-        state = QuantumState(dim.bit_length() - 1, amps / np.linalg.norm(amps))
-        shots = {0: 1, 1: 10**6}.get(i % 40, int(10 ** rng.uniform(0, 4.5)))
-        seed = int(rng.integers(2**31))
-        h = sample(state, shots, seed)
-        assert h.counts == _per_shot_histogram(state, shots, seed), (i, dim, shots)
-        assert list(h.counts) == sorted(h.counts)
+@settings(max_examples=200)
+@given(
+    sparse_states(),
+    st.one_of(st.integers(1, 10**4), st.integers(1, 2**63 - 1), st.just(2**63 - 1)),
+    st.integers(0, 2**64),
+)
+def test_sample_histograms_keep_their_laws(state, shots, seed):
+    # numpy hands the rounding remainder of a multinomial draw to its last
+    # bin, so a zero-probability bin could be counted at large shot counts
+    # unless the draw runs on the support only
+    h = sample(state, shots, seed)
+    assert h.shots == shots and sum(h.counts.values()) == shots
+    assert list(h.counts) == sorted(h.counts)
+    assert all(type(k) is int and type(c) is int and c > 0 for k, c in h.counts.items())
+    assert all(state.amplitudes[k] != 0 for k in h.counts)
+    assert sample(state, shots, seed).counts == h.counts
+    k = seed % state.dim
+    basis = np.zeros(state.dim, dtype=complex)
+    basis[k] = 1.0
+    assert sample(QuantumState(state.num_qubits, basis), shots, seed).counts == {k: shots}
+
+
+def test_sample_counts_follow_the_multinomial_law():
+    # 4 shots of a 3-bin state over 8,000 fixed seeds: the frequencies of
+    # all 15 possible histograms against the multinomial pmf, chi-square
+    probs = np.array([0.5, 0.0, 0.3, 0.2])
+    state = QuantumState(2, np.sqrt(probs).astype(complex))
+    shots, seeds = 4, range(8000)
+    seen = Counter(tuple(sample(state, shots, seed).counts.get(k, 0) for k in (0, 2, 3)) for seed in seeds)
+    outcomes = [(a, b, shots - a - b) for a in range(shots + 1) for b in range(shots + 1 - a)]
+    expected = np.array([multinomial.pmf(o, shots, probs[[0, 2, 3]]) for o in outcomes]) * len(seeds)
+    observed = np.array([seen[o] for o in outcomes])
+    assert observed.sum() == len(seeds)
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, len(outcomes) - 1) > 1e-3, stat
+
+
+def test_sample_takes_integer_counts_and_normalized_states():
+    state = init_amplitudes([np.sqrt(0.75), 0.5])
+    for shots, seed in ((2.7, 1), (True, 1), (np.bool_(True), 1), (5, False), (5, 1.0), ("5", 1)):
+        with pytest.raises(InvalidInputError):
+            sample(state, shots, seed)
+    for shots in (2**63, 10**20):
+        with pytest.raises(CapacityError):
+            sample(state, shots, 1)
+    assert sample(state, np.int64(500), np.uint8(3)).counts == sample(state, 500, 3).counts
+    # a NaN, zero or off-norm register has no measurement law
+    for amps in ([np.nan, 0.0], [0.0, 0.0], [1.0, 1.0]):
+        with pytest.raises(NormalizationError):
+            sample(QuantumState(1, np.array(amps, dtype=complex)), 5, 1)
 
 
 def test_norm_drift_raises_normalization_error():
