@@ -39,7 +39,6 @@ from .circuits import (
     dagger,
     gatelist_matrix,
     inverted,
-    phase_gate,
     run_gatelist,
     single,
     with_control,

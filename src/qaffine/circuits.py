@@ -7,17 +7,19 @@ for structured unitaries; `qaffine.synthesis.lower` expands them into
 single-qubit gates and CNOTs.
 
 A gate carries a dense 2^t x 2^t matrix, or, for a block, a
-`linalg.Reflector`: a state preparation held as O(2^t) data, which the
-simulator applies through `@` in O(2^t) per column and `dagger` inverts by
-its `adjoint`.  Only lowering and `gatelist_matrix` densify it.
+`linalg.Reflector` (a state preparation) or a `linalg.Diagonal` (a QFT's
+phase layer): O(2^t) data, which the simulator applies through `@` in
+O(2^t) per column and `dagger` inverts by its `adjoint`.  Only lowering and
+`gatelist_matrix` densify it.
 
 `Gate` lives next to the kernel, in `simulator`, and is re-exported here.
 Building one is its only check (wiring, shape, and unitarity within 1e-9 by
-a dense product for a matrix; a Reflector or a `blockenc.BlockEncoding`,
-whose U checks itself when read, is trusted by its type), so `single` and
-`block` only build a gate.  Gates made from built gates (`dagger`,
-`with_control`, `cnot` from one checked X) keep the checked matrix and
-check only their new wiring; lowering builds each gate on its final wires.
+a dense product for a matrix; a Reflector, a Diagonal or a
+`blockenc.BlockEncoding`, whose U checks itself when read, is trusted by its
+type), so `single` and `block` only build a gate.  Gates made from built
+gates (`dagger`, `with_control`, `cnot` from one checked X) keep the checked
+matrix and check only their new wiring; lowering builds each gate on its
+final wires.
 Running a program checks the output norm and, once per distinct layout, the
 register width, whether the program is run or multiplied out
 (`gatelist_matrix`), but not unitarity again.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simulator
-from .linalg import Reflector
+from .linalg import Diagonal, Reflector
 from .simulator import Gate, QuantumState, _apply, _apply_gate
 
 SQRT2 = np.sqrt(2.0)
@@ -40,10 +42,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128
 )
-
-
-def phase_gate(theta: float) -> np.ndarray:
-    return np.array([[1, 0], [0, np.exp(1j * theta)]], dtype=np.complex128)
 
 
 def single(matrix, target: int) -> Gate:
@@ -75,7 +73,7 @@ class GateList:
 
 def dagger(g: Gate) -> Gate:
     m = g.matrix
-    if isinstance(m, Reflector):
+    if isinstance(m, (Reflector, Diagonal)):
         return g._derive(g.kind, matrix=m.adjoint())
     adj = m.conj().T
     adj.flags.writeable = False

@@ -1,10 +1,12 @@
 """Complex linear algebra used by the engine modules.
 
-Matrices are dense complex128 arrays, with one structured exception: a state
-preparation is a `Reflector`, a d x d unitary held as O(d) data.  It checks
-its own unitarity in O(d) when it is built, and `@` applies it in
-O(d * batch), so gate code can run it where it runs a dense matrix.
-`completion_unitary` is its dense view.
+Matrices are dense complex128 arrays, with two structured exceptions, each
+a d x d unitary held as O(d) data: a state preparation is a `Reflector`, and
+a diagonal unitary (a QFT's merged phase layer) is a `Diagonal`.  Each checks
+its own unitarity in O(d) when it is built, `@` applies it in O(d * batch),
+`adjoint()` inverts it and `np.asarray` writes it out, so gate code can run
+it where it runs a dense matrix.  `completion_unitary` is the reflector's
+dense view.
 """
 
 from __future__ import annotations
@@ -136,6 +138,45 @@ class Reflector:
         h.flat[:: self.u.shape[0] + 1] += 1.0  # add the identity along the diagonal
         h[:, 0] *= self.p
         return h if dtype is None else h.astype(dtype)
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal:
+    """The d x d diagonal unitary D = diag(p), held as its phases p.
+
+    D^dag D - I = diag(|p_i|^2 - 1), so max | |p_i|^2 - 1 |, which the
+    construction checks against UNITARY_ATOL in O(d), is exactly the dense
+    check of a gate matrix.  p is kept as a read-only copy, so the checked
+    operator cannot change afterwards.
+    """
+
+    p: np.ndarray
+
+    def __post_init__(self):
+        p = as_vector(self.p).copy()
+        p.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        dev = max_abs(p.real**2 + p.imag**2 - 1.0)
+        if not dev <= UNITARY_ATOL:
+            raise UnitarityError(f"diagonal deviates from a unitary by {dev:.3e} > {UNITARY_ATOL:g}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        d = self.p.shape[0]
+        return (d, d)
+
+    def adjoint(self) -> "Diagonal":
+        return Diagonal(self.p.conj())
+
+    def __matmul__(self, x) -> np.ndarray:
+        """D @ x for x of shape (d,) or (d, batch): each row scaled by its
+        phase, in O(d * batch) and into one new array."""
+        x = np.asarray(x)
+        return (self.p if x.ndim == 1 else self.p[:, None]) * x
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense d x d matrix."""
+        return np.diag(self.p) if dtype is None else np.diag(self.p).astype(dtype)
 
 
 def state_preparation(v) -> Reflector:

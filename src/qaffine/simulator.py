@@ -18,18 +18,19 @@ Conventions used throughout the package:
   seedable 64-bit generator) over the nonzero |amplitude|^2, so a histogram
   costs O(2^q) for any shot count, never counts a zero-probability basis
   state, and is reproducible for a fixed seed.
-* A `Gate` checks itself once, when it is built: integer qubit indices, no
-  qubit used twice, control values that are bits, the wiring its kind takes
-  ("single": one target, no control; "cnot": one of each; "block": any),
-  and a matrix of the right shape that is unitary (a dense matrix) or
-  checked by its type (a `linalg.Reflector`, the U a
-  `blockenc.BlockEncoding` checks on first read).  Gates made from a
-  built gate (`Gate._derive`) keep its checked matrix.
+* A `Gate` checks itself once, when it is built: integer qubit indices and
+  control values that are bits, neither of them a bool, no qubit used
+  twice, the wiring its kind takes ("single": one target, no control;
+  "cnot": one of each; "block": any), and a matrix of the right shape
+  that is unitary (a dense matrix) or checked by its type (a
+  `linalg.Reflector`, a `linalg.Diagonal`, the U a `blockenc.BlockEncoding`
+  checks on first read).  Gates made from a built gate (`Gate._derive`)
+  keep its checked matrix.
 * One kernel, `_apply`, runs every built gate on a transposed view of a
   state or of a matrix's columns, without checking it again; `_layout`
   checks the qubit indices against the register width and caches each
-  distinct layout once.  The kernel applies a dense matrix or a reflector
-  through `@`, so a reflector costs O(d) per column, not O(d^2).
+  distinct layout once.  The kernel applies a dense matrix, a reflector or
+  a diagonal through `@`, so the last two cost O(d) per column, not O(d^2).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     ShapeError,
     UnitarityError,
 )
-from .linalg import UNITARY_ATOL, Reflector, as_matrix, as_vector, check_unit_norm, is_unitary
+from .linalg import UNITARY_ATOL, Diagonal, Reflector, as_matrix, as_vector, check_unit_norm, is_unitary
 
 MAX_QUBITS = 24
 MAX_SHOTS = 2**63 - 1  # numpy counts shots in int64
@@ -112,8 +113,13 @@ def init_amplitudes(x) -> QuantumState:
 
 
 def _as_ints(xs, error=QubitIndexError, label: str = "qubit indices") -> tuple[int, ...]:
-    """xs as ints; int() would truncate 0.7, and 1.0 would hit 1's layout."""
+    """xs as ints; int() would truncate 0.7, and 1.0 would hit 1's layout.
+    operator.index takes True as 1, so a bool is refused first (it refuses
+    np.bool_ itself)."""
     try:
+        xs = tuple(xs)
+        if bool in map(type, xs):
+            raise TypeError
         return tuple(map(operator.index, xs))
     except TypeError:
         raise error(f"{label} must be integers, got {xs!r}") from None
@@ -152,20 +158,20 @@ class Gate:
     Building a gate is its one check: the wiring (`_wires`), then the
     matrix.  A dense matrix must be 2^t x 2^t and unitary within
     UNITARY_ATOL, and is kept as a read-only copy, so it cannot change after
-    its check.  A Reflector and a BlockEncoding (kept as its U, checked on
-    first read) hold checked read-only data, so only their shape is
-    checked.  The kernel runs a built gate as it is; only the register
-    width is checked there, once per layout."""
+    its check.  A Reflector, a Diagonal and a BlockEncoding (kept as its
+    U, checked on first read) hold checked read-only data, so only their
+    shape is checked.  The kernel runs a built gate as it is; only the
+    register width is checked there, once per layout."""
 
     kind: str  # "single" | "cnot" | "block"
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     control_values: tuple[int, ...] = ()
-    matrix: np.ndarray | Reflector | BlockEncoding | None = None
+    matrix: np.ndarray | Reflector | Diagonal | BlockEncoding | None = None
 
     def __post_init__(self):
         ts, cs, vs = _wires(self.kind, self.targets, self.controls, self.control_values)
-        checked = isinstance(self.matrix, (Reflector, BlockEncoding))
+        checked = isinstance(self.matrix, (Reflector, Diagonal, BlockEncoding))
         m = getattr(self.matrix, "U", self.matrix) if checked else as_matrix(self.matrix).copy()
         if m.shape != (1 << len(ts), 1 << len(ts)):
             raise ShapeError(f"matrix shape {m.shape} does not act on {len(ts)} qubit(s)")

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dft_matrix, embed_unitary_oracle, random_state_vector
+from conftest import dft_matrix, embed_controlled_oracle, embed_unitary_oracle, random_state_vector
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import bdtr, bdtrc
 
 from qaffine import (
@@ -26,6 +28,9 @@ from qaffine import (
     signal_filter,
     two_tone_samples,
 )
+from qaffine.apps import _qft_ladder
+from qaffine.circuits import HADAMARD, SWAP
+from qaffine.linalg import Diagonal
 
 
 def random_portfolio(rng, m):
@@ -207,6 +212,75 @@ def test_qft_ladder_is_built_once_per_call_shape():
     qft(init_amplitudes(random_state_vector(rng, 8)), (2, 1, 0))
     with pytest.raises(QubitIndexError):
         qft(init_amplitudes(psi), (2, 1, 0))
+
+
+def _dft_on_targets(psi, targets, sign):
+    """The unitary DFT on the target qubits (targets[0] most significant) of
+    a register, by basis-index arithmetic: out[i] = sum_l F[l(i), l] psi[j(i, l)]
+    with l(i) the targets' bits of i and j(i, l) i with those bits set to l."""
+    t = len(targets)
+    i = np.arange(psi.shape[0])
+    local = sum(((i >> q) & 1) << (t - 1 - pos) for pos, q in enumerate(targets))
+    cleared = i & ~sum(1 << q for q in targets)
+    lj = np.arange(1 << t)
+    spread = sum(((lj >> (t - 1 - pos)) & 1) << q for pos, q in enumerate(targets))
+    f = dft_matrix(1 << t, sign)
+    return np.einsum("ij,ij->i", f[local], psi[cleared[:, None] | spread[None, :]])
+
+
+@st.composite
+def _qft_targets(draw):
+    q = draw(st.integers(1, 8))
+    t = draw(st.integers(1, min(6, q)))
+    return q, tuple(draw(st.permutations(range(q)))[:t])
+
+
+@given(case=_qft_targets(), inverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_qft_matches_dft_on_any_targets(case, inverse, seed):
+    # distinct targets in any order, contiguous or not, inside a register of
+    # up to 8 qubits: the merged phase layers act on ts[i:] wherever they lie
+    q, targets = case
+    psi = random_state_vector(np.random.default_rng(seed), 1 << q)
+    got = qft(init_amplitudes(psi), targets, inverse=inverse).amplitudes
+    want = _dft_on_targets(psi, targets, -1 if inverse else +1)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_each_qft_layer_is_its_controlled_phases_merged(inverse):
+    # the layer after H(ts[i]) on ts[i:] (local qubit t-1-i is ts[i]) is the
+    # product of the controlled phases e^{2 pi i / 2^(j-i+1)} on ts[i] by
+    # ts[j] = 1, j > i, that the textbook ladder applies one by one
+    for t in range(1, 9):
+        ts = tuple(range(t - 1, -1, -1))
+        layers = [g for g in _qft_ladder(ts, inverse) if isinstance(g.matrix, Diagonal)]
+        if inverse:
+            layers.reverse()
+        assert len(layers) == t - 1
+        for i, g in enumerate(layers):
+            m = t - i
+            assert g.targets == ts[i:] and g.controls == ()
+            want = np.eye(1 << m, dtype=complex)
+            for j in range(i + 1, t):
+                phase = np.diag([1.0, np.exp(2j * np.pi / (1 << (j - i + 1)))])
+                want = embed_controlled_oracle(phase, (m - 1,), (m - 1 - (j - i),), (1,), m) @ want
+            if inverse:
+                want = want.conj()
+            assert np.max(np.abs(np.asarray(g.matrix) - want)) <= 1e-15, (t, i)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 6, 10])
+def test_qft_ladder_has_one_phase_layer_per_qubit_but_the_last(t):
+    # t Hadamards, t - 1 diagonal layers and t // 2 bit-reversal swaps: 24
+    # gates at t = 10, where one controlled phase per pair made 60
+    ts = tuple(range(t - 1, -1, -1))
+    for inverse in (False, True):
+        gates = _qft_ladder(ts, inverse)
+        hadamards = [g for g in gates if g.kind == "single" and np.array_equal(g.matrix, HADAMARD)]
+        layers = [g for g in gates if isinstance(g.matrix, Diagonal)]
+        swaps = [g for g in gates if g.kind == "block" and np.array_equal(g.matrix, SWAP)]
+        assert (len(hadamards), len(layers), len(swaps)) == (t, t - 1, t // 2)
+        assert len(gates) == 2 * t - 1 + t // 2
 
 
 # --- signal filtering -----------------------------------------------------------

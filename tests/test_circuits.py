@@ -19,7 +19,6 @@ from qaffine import (
     gatelist_matrix,
     init_basis,
     inverted,
-    phase_gate,
     run_gatelist,
     single,
     with_control,
@@ -117,14 +116,14 @@ def test_inverted_program_undoes_itself():
         single(random_unitary(rng, 2), 0),
         cnot(0, 2),
         block(random_unitary(rng, 4), (2, 1), (0,), (1,)),
-        single(phase_gate(0.7), 1),
+        single(np.diag([1.0, np.exp(0.7j)]), 1),
     ]
     gl = GateList(3, gates + inverted(gates))
     assert np.max(np.abs(gatelist_matrix(gl) - np.eye(8))) <= 1e-12
 
 
 def test_dagger_conjugates_matrix():
-    g = dagger(single(phase_gate(0.3), 0))
+    g = dagger(single(np.diag([1.0, np.exp(0.3j)]), 0))
     assert g.matrix[1, 1] == pytest.approx(np.exp(-0.3j))
     assert dagger(cnot(0, 1)).kind == "cnot"
 

@@ -20,7 +20,7 @@ from qaffine import (
     init_amplitudes,
     is_unitary,
 )
-from qaffine.linalg import Reflector, max_abs, state_preparation
+from qaffine.linalg import UNITARY_ATOL, Diagonal, Reflector, max_abs, state_preparation
 from qaffine.simulator import apply_unitary
 
 
@@ -221,3 +221,67 @@ def test_a_reflector_makes_one_operand_sized_array():
             apply_gate(state, g)  # its layout is cached outside the trace
             peaks.append(_traced_peak(lambda: apply_gate(state, g)))
         assert peaks[0] <= peaks[1] + 2 * np.getbufsize() * 16 + 4 * (d + (1 << q) // d) * 16, targets
+
+
+def test_diagonal_checks_each_phase_modulus_against_unitary_atol():
+    # max | |p_i|^2 - 1 | is max |D^dag D - I|, so the O(d) check refuses
+    # and accepts where the dense check of diag(p) does
+    over = [1.0, 1j * np.sqrt(1.0 + 1.5 * UNITARY_ATOL), -1.0, 1.0]
+    under = [1.0, 1j * np.sqrt(1.0 + 0.5 * UNITARY_ATOL), -1.0, 1.0]
+    with pytest.raises(UnitarityError):
+        Diagonal(over)
+    assert not is_unitary(np.diag(over), UNITARY_ATOL)
+    assert np.array_equal(np.asarray(Diagonal(under)), np.diag(under))
+    assert is_unitary(np.diag(under), UNITARY_ATOL)
+
+
+@pytest.mark.parametrize(
+    "p, error",
+    [
+        ([1.0, np.nan], InvalidInputError),
+        ([1.0, np.inf * 1j], InvalidInputError),
+        (np.eye(2), ShapeError),
+    ],
+)
+def test_diagonal_refuses_bad_phases(p, error):
+    with pytest.raises(error):
+        Diagonal(p)
+
+
+def test_diagonal_stays_as_checked():
+    p = np.exp(1j * np.arange(4.0))
+    d = Diagonal(p)
+    p[0] = 3.0
+    assert d.p[0] == 1.0
+    with pytest.raises(ValueError):
+        d.p[0] = 3.0
+    with pytest.raises(AttributeError):
+        d.p = p
+
+
+def test_diagonal_applies_inverts_and_writes_out_its_phases():
+    rng = np.random.default_rng(17)
+    p = np.exp(2j * np.pi * rng.uniform(size=8))
+    d = Diagonal(p)
+    assert d.shape == (8, 8)
+    assert np.array_equal(np.asarray(d), np.diag(p))
+    assert np.array_equal(np.asarray(d.adjoint()), np.diag(p.conj()))
+    x = random_state_vector(rng, 8)
+    assert np.array_equal(d @ x, p * x)
+    xs = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    assert np.array_equal(d @ xs, p[:, None] * xs)
+    assert max_abs(d.adjoint() @ (d @ xs) - xs) <= 1e-15
+
+
+def test_diagonal_gate_checks_its_shape_and_inverts_by_its_adjoint():
+    rng = np.random.default_rng(18)
+    d = Diagonal(np.exp(2j * np.pi * rng.uniform(size=4)))
+    with pytest.raises(ShapeError):
+        block(d, (0,))
+    with pytest.raises(ShapeError):
+        block(d, (2, 1, 0))
+    g = block(d, (2, 0), (1,), (0,))
+    inv = dagger(g)
+    assert isinstance(inv.matrix, Diagonal)
+    assert np.array_equal(inv.matrix.p, d.p.conj())
+    assert max_abs(gatelist_matrix(GateList(3, [g, inv])) - np.eye(8)) <= 1e-15

@@ -26,9 +26,12 @@ from qaffine import (
     gatelist_matrix,
     init_amplitudes,
     init_basis,
+    qft,
     sample,
+    single,
+    synthesize,
 )
-from qaffine.linalg import Reflector
+from qaffine.linalg import Diagonal, Reflector
 from qaffine.simulator import QuantumState, _check_normalized, _layout
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -136,22 +139,25 @@ def test_apply_unitary_validation():
     q=st.integers(1, 7),
     t=st.integers(1, 3),
     c=st.integers(0, 3),
-    reflector=st.booleans(),
+    matrix=st.sampled_from(("dense", "reflector", "diagonal")),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gate_kernel_matches_dense_oracle(q, t, c, reflector, seed):
+def test_gate_kernel_matches_dense_oracle(q, t, c, matrix, seed):
     # one kernel runs states (apply_unitary) and columns (gatelist_matrix);
     # both must match the entry-by-entry embedding, for any order of targets
-    # and (anti-)controls and for a dense matrix or a reflector alike
+    # and (anti-)controls and for a dense matrix, a reflector or a diagonal
     rng = np.random.default_rng(seed)
     t = min(t, q)
     c = min(c, q - t)
     labels = rng.permutation(q).tolist()
     targets, controls = tuple(labels[:t]), tuple(labels[t : t + c])
     values = tuple(int(v) for v in rng.integers(0, 2, size=c))
-    if reflector:
+    if matrix == "reflector":
         v = random_state_vector(rng, 1 << t) * np.sqrt(2.0)
         u = Reflector(v, np.exp(2j * np.pi * rng.uniform()))
+        dense = u @ np.eye(1 << t)
+    elif matrix == "diagonal":
+        u = Diagonal(np.exp(2j * np.pi * rng.uniform(size=1 << t)))
         dense = u @ np.eye(1 << t)
     else:
         u = dense = random_unitary(rng, 1 << t)
@@ -206,6 +212,25 @@ def test_non_integral_indices_are_refused():
     # numpy integers are integral
     out = apply_unitary(st, X, (np.int64(1),), (np.int32(0),), (np.uint8(0),))
     assert out.amplitudes[2] == 1.0
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: single(X, True), QubitIndexError),
+        (lambda: apply_unitary(init_basis(2), X, (True,)), QubitIndexError),
+        (lambda: apply_unitary(init_basis(2), X, (0,), (np.True_,), (1,)), QubitIndexError),
+        (lambda: apply_unitary(init_basis(2), X, (0,), (1,), (True,)), InvalidInputError),
+        (lambda: qft(init_basis(2), (True, 0)), QubitIndexError),
+        (lambda: synthesize(X, (True,)), QubitIndexError),
+    ],
+    ids=["single", "apply_unitary", "np_bool_control", "control_value", "qft", "synthesize"],
+)
+def test_bool_indices_are_refused(call, error):
+    # operator.index takes True as 1: single(X, True) built a gate on qubit 1
+    # and apply_unitary(init_basis(2), X, (True,)) flipped qubit 1
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize(

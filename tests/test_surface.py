@@ -5,8 +5,9 @@ the acceptance criteria.  Only `synthesis` imports scipy, and only a use of
 one of its names loads it.  One call site factors every dilation, into one
 dilation type, and one writes its blocks out densely, one kernel applies
 every gate, one entry runs every pipeline stage, one helper hands it
-every register buffer, and one replay checks every gate witness.  A gate is checked once, where it is built.  Synthesis calls LAPACK only through its
-cached drivers."""
+every register buffer, and one replay checks every gate witness.  A gate is
+checked once, where it is built, and trusts three structured types by their
+type.  Synthesis calls LAPACK only through its cached drivers."""
 
 import ast
 import os
@@ -168,6 +169,19 @@ def test_one_gate_check():
     # `synthesize` converts its wires once, so an identity, which builds no
     # gate, rejects (1.0, 0) too, and every gate it builds gets ints
     assert {site[1] for site in _calls_named({"_as_ints"})} == {"_wires", "qft", "synthesize"}
+
+
+def test_gate_trusts_exactly_the_self_checking_types():
+    # a Reflector and a Diagonal check themselves in O(d) when built, and a
+    # BlockEncoding checks its U on first read; any other matrix gets the
+    # dense unitarity check
+    tree = ast.parse((PACKAGE / "simulator.py").read_text())
+    gate = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Gate")
+    post_init = next(node for node in gate.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    checks = [node for node in ast.walk(post_init) if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"]
+    assert [sorted(ast.unparse(elt) for elt in call.args[1].elts) for call in checks] == [
+        ["BlockEncoding", "Diagonal", "Reflector"]
+    ]
 
 
 def test_synthesis_reaches_lapack_through_its_cached_drivers():
