@@ -11,6 +11,11 @@ the final amplitude at bits (i_0, ..., i_{m-1}) is the iterated
     amp(bits) = Psi[i_0] / 2^(m-1)
                 + sum_r (-1)^(i_r) * B_r[int(i_{r-1}..i_0)] / 2^(m-r).
 
+The groups are checked once, where the spec is built (it keeps a read-only
+copy of the assets), and the stages then run in one 2^m register, as the
+abstract pipeline runs its stages; `portfolio_estimate` reads the sampled
+counts as arrays and keys them by bit tuples built once per m.
+
 Signal filtering: frequency-domain gain-and-bias.  A forward transform
 moves the normalized samples to frequency space, one weighted pipeline run
 applies X -> g * X + b*v elementwise (the diagonal step A = diag(g), given
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator
-from .addsub import hadamard_addsub_inplace
+from .addsub import _fold
 from .circuits import HADAMARD, SWAP, Gate, apply_gates, block, inverted, single
 from .errors import (
     CapacityError,
@@ -42,8 +47,8 @@ from .errors import (
     ShapeError,
 )
 from .linalg import Diagonal, as_vector, check_unit_norm
-from .pipeline import AffineSequence, AffineStep, run_pipeline
-from .simulator import QuantumState, _as_ints
+from .pipeline import AffineSequence, AffineStep, _private, run_pipeline
+from .simulator import QuantumState, _as_ints, _draw
 
 MAX_GROUP_LEVELS = 10
 QFT_CACHE_SIZE = 64  # ladders kept, one per (targets, inverse); `apps` perfbench cycles use 4
@@ -52,7 +57,9 @@ QFT_CACHE_SIZE = 64  # ladders kept, one per (targets, inverse); `apps` perfbenc
 @dataclass(frozen=True, eq=False)
 class PortfolioSpec:
     """Grouped asset values; assets has length 2^m and every group is
-    unit-norm (use from_raw to sort/group/normalize arbitrary values)."""
+    unit-norm (use from_raw to sort/group/normalize arbitrary values).
+    The checked assets are held as a read-only float64 copy, so a later
+    write to the caller's array cannot reach the spec."""
 
     assets: np.ndarray
     m: int
@@ -65,22 +72,28 @@ class PortfolioSpec:
             raise InvalidInputError("asset values must be finite")
         if self.m < 1 or a.shape[0] != 1 << self.m:
             raise ShapeError(f"need 2^m assets for m={self.m}, got {a.shape[0]}")
-        object.__setattr__(self, "assets", a)
+        object.__setattr__(self, "assets", _private(a))
         for r in range(self.m):
             check_unit_norm(self.group(r), f"group {r}")
 
     @classmethod
     def from_raw(cls, values) -> "PortfolioSpec":
         """Sort descending, partition into blocks of 2, 2, 4, ..., 2^(m-1),
-        and normalize each block."""
+        and normalize each block.  Non-finite values, and a block whose norm
+        is zero or overflows, raise InvalidInputError before any division."""
         v = np.asarray(values, dtype=np.float64)
         if v.ndim != 1 or v.shape[0] < 2 or v.shape[0] & (v.shape[0] - 1):
             raise ShapeError(f"need a power-of-two count of values, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvalidInputError("asset values must be finite")
         v = np.sort(v)[::-1].copy()
         m = v.shape[0].bit_length() - 1
-        v[0:2] /= np.linalg.norm(v[0:2])
-        for r in range(1, m):
-            v[1 << r : 2 << r] /= np.linalg.norm(v[1 << r : 2 << r])
+        for r, g in enumerate([v[0:2]] + [v[1 << r : 2 << r] for r in range(1, m)]):
+            with np.errstate(over="ignore"):  # an overflowing norm reads inf
+                nrm = float(np.linalg.norm(g))
+            if not 0.0 < nrm < np.inf:
+                raise InvalidInputError(f"group {r} norm is {nrm!r}, not a positive finite number")
+            g /= nrm
         return cls(v, m)
 
     def group(self, r: int) -> np.ndarray:
@@ -94,14 +107,30 @@ def portfolio_circuit(p: PortfolioSpec) -> QuantumState:
     """m-qubit state holding all signed combinations.
 
     Every matrix stage is the identity, so the block-encoding ancilla is
-    skipped entirely and each step is a bare add/sub with the next group.
+    skipped entirely and each step is a bare add/sub with the next group,
+    run in one 2^m register: stage r halves buf[:d], copies it to
+    buf[d:2d] and folds +-B_r/2 in (`addsub._fold`), whose norm check at
+    NORM_ATOL stays.  The spec has checked every group, so a group is
+    only divided by its norm, as `hadamard_addsub_inplace` divides b~, and
+    the register equals that stage-by-stage route bit for bit.
     """
     if p.m > MAX_GROUP_LEVELS:
         raise CapacityError(f"portfolio supports at most {MAX_GROUP_LEVELS} levels")
-    state = simulator.init_amplitudes(p.group(0))
+    buf = np.empty(1 << p.m, dtype=np.complex128)
+    buf[:2] = _unit_group(p, 0)
     for r in range(1, p.m):
-        state = hadamard_addsub_inplace(state, p.group(r))
-    return state
+        d = 1 << r
+        buf[:d] *= 0.5
+        buf[d : 2 * d] = buf[:d]
+        _fold(buf, d, _unit_group(p, r))
+    return QuantumState(p.m, buf)
+
+
+def _unit_group(p: PortfolioSpec, r: int) -> np.ndarray:
+    """Group r as complex128 divided by its norm, both as an unchecked
+    `addsub._unit` computes them."""
+    g = p.group(r).astype(np.complex128)
+    return g / np.linalg.norm(g)
 
 
 def _check_bits(bits, m: int) -> tuple[int, ...]:
@@ -140,12 +169,20 @@ def portfolio_alternate_form(p: PortfolioSpec, bits) -> float:
 
 
 def portfolio_estimate(p: PortfolioSpec, shots: int, seed: int) -> dict[tuple[int, ...], float]:
-    """Empirical branch frequencies from sampling the circuit."""
-    state = portfolio_circuit(p)
-    hist = simulator.sample(state, shots, seed)
-    index = np.fromiter(hist.counts, dtype=np.int64, count=len(hist.counts))
-    bits = (index[:, None] >> np.arange(p.m)) & 1  # row i: bit r of index i in column r
-    return {tuple(b): count / shots for b, count in zip(bits.tolist(), hist.counts.values())}
+    """Empirical branch frequencies from sampling the circuit: the bits
+    (i_0, ..., i_{m-1}) of each basis state hit, in ascending index order,
+    map to count / shots.  The draw is `sample`'s, with its checks, taken
+    as arrays (`simulator._draw`); the bit tuples are built once per m."""
+    index, counts = _draw(portfolio_circuit(p), shots, seed)
+    keys = _bit_tuples(p.m)
+    return {keys[i]: c / shots for i, c in zip(index.tolist(), counts.tolist())}
+
+
+@functools.lru_cache(maxsize=MAX_GROUP_LEVELS)
+def _bit_tuples(m: int) -> tuple[tuple[int, ...], ...]:
+    """Entry i: the m bits of i, least significant first, as Python ints."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # row i: bit r of i in column r
+    return tuple(map(tuple, bits.tolist()))
 
 
 def qft(state: QuantumState, targets, inverse: bool = False) -> QuantumState:
@@ -190,8 +227,10 @@ class SignalSpec:
     """Real samples (power-of-two length), a frequency-domain scale a or a
     gain vector g of the samples' length (|a|, |g_i| <= 1, checked by the
     pipeline step `signal_filter` runs), bias weight |b| <= 1 on a unit
-    bias vector (uniform when omitted).  A gain vector is stored as a
-    finite complex128 array."""
+    bias vector (uniform when omitted).  The checked samples (float64), a
+    gain vector and the normalized bias vector (complex128) are held as
+    read-only copies, so a later write to the caller's arrays cannot reach
+    the spec."""
 
     samples: np.ndarray
     scale_a: float | np.ndarray
@@ -204,19 +243,19 @@ class SignalSpec:
             raise ShapeError(f"sample count must be a power of two >= 2, got {x.shape}")
         if not np.isfinite(x).all():
             raise InvalidInputError("samples must be finite")
-        object.__setattr__(self, "samples", x)
+        object.__setattr__(self, "samples", _private(x))
         if np.ndim(self.scale_a):
             g = as_vector(self.scale_a)
             if g.shape != x.shape:
                 raise ShapeError(f"gain vector length {g.shape[0]} != sample count {x.shape[0]}")
-            object.__setattr__(self, "scale_a", g)
+            object.__setattr__(self, "scale_a", _private(g))
         if self.bias_vector is not None:
             v = as_vector(self.bias_vector)
             if v.shape[0] != x.shape[0]:
                 raise ShapeError(
                     f"bias vector length {v.shape[0]} != sample count {x.shape[0]}"
                 )
-            object.__setattr__(self, "bias_vector", v / check_unit_norm(v, "bias vector"))
+            object.__setattr__(self, "bias_vector", _private(v / check_unit_norm(v, "bias vector")))
 
 
 def two_tone_samples(length: int, f1: int, f2: int, a1: float = 1.0, a2: float = 0.5) -> np.ndarray:

@@ -59,7 +59,10 @@ def _complex_from_pair(node, where: str) -> complex:
         or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in node)
     ):
         raise SchemaError(f"{where}: expected a [re, im] number pair, got {node!r}")
-    return complex(node[0], node[1])
+    try:
+        return complex(node[0], node[1])
+    except OverflowError:  # a JSON integer past the float range
+        raise SchemaError(f"{where}: a number is too large for a float") from None
 
 
 def _vector_from_json(node, where: str) -> np.ndarray:
@@ -93,12 +96,13 @@ def parse_problem(path: str | Path) -> tuple[AffineSequence, str]:
             data = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int()'s digit limit
         raise SchemaError(f"problem file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("problem file must hold a JSON object")
-    if data.get("version") != 1:
-        raise SchemaError(f"unsupported problem version {data.get('version')!r}")
+    version = data.get("version")
+    if isinstance(version, bool) or version != 1:  # True == 1
+        raise SchemaError(f"unsupported problem version {version!r}")
     n = data.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError(f"'n' must be a positive integer, got {n!r}")

@@ -43,8 +43,10 @@ def as_matrix(m) -> np.ndarray:
 
 def check_unit_norm(v, label: str) -> float:
     """Norm of an input vector that must be a unit vector; raises unless it
-    lies within UNIT_NORM_TOL of 1."""
-    nrm = float(np.linalg.norm(v))
+    lies within UNIT_NORM_TOL of 1.  A norm that overflows reads inf, and
+    is refused without a numpy warning."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
     if not abs(nrm - 1.0) <= UNIT_NORM_TOL:
         raise NormalizationError(f"{label} norm {nrm!r} not within {UNIT_NORM_TOL:g} of 1")
     return nrm

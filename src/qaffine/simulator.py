@@ -245,14 +245,9 @@ def apply_unitary(state: QuantumState, u, targets, controls=(), control_values=(
     return _apply_gate(state, Gate("block", targets, controls, control_values, u))
 
 
-def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
-    """Measure all qubits `shots` times; deterministic for a fixed seed.
-
-    One multinomial draw over the support of |amplitude|^2: numpy draws it
-    as a chain of conditional binomials, so the counts have the law of
-    `shots` independent measurements, and the work and memory are O(2^q)
-    whatever `shots` is.  The draw skips the zero-probability bins, since
-    numpy gives the rounding remainder to the last bin it is handed."""
+def _draw(state: QuantumState, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw behind `sample`, its shots, seed and state checked: the
+    basis indices hit, ascending, and their counts, as int64 arrays."""
     try:
         # int() would truncate 2.7 shots to 2, and a bool is an int
         if any(isinstance(x, (bool, np.bool_)) for x in (shots, seed)):
@@ -273,4 +268,18 @@ def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     p /= p.sum()
     counts = np.random.default_rng(seed).multinomial(shots, p)
     hit = counts > 0
-    return ShotHistogram(shots, dict(zip(support[hit].tolist(), counts[hit].tolist())))
+    return support[hit], counts[hit]
+
+
+def sample(state: QuantumState, shots: int, seed: int) -> ShotHistogram:
+    """Measure all qubits `shots` times; deterministic for a fixed seed.
+
+    One multinomial draw over the support of |amplitude|^2: numpy draws it
+    as a chain of conditional binomials, so the counts have the law of
+    `shots` independent measurements, and the work and memory are O(2^q)
+    whatever `shots` is.  The draw skips the zero-probability bins, since
+    numpy gives the rounding remainder to the last bin it is handed.  The
+    histogram maps each basis index hit, ascending, to its count; `_draw`
+    gives the same two columns as arrays."""
+    index, counts = _draw(state, shots, seed)
+    return ShotHistogram(operator.index(shots), dict(zip(index.tolist(), counts.tolist())))

@@ -17,6 +17,7 @@ from qaffine import (
     QubitIndexError,
     ShapeError,
     SignalSpec,
+    hadamard_addsub_inplace,
     init_amplitudes,
     portfolio_circuit,
     portfolio_closed_form,
@@ -50,6 +51,43 @@ def test_portfolio_worked_example():
     p = PortfolioSpec([0.8, 0.6, 0.6, 0.8], 2)
     st = portfolio_circuit(p)
     assert np.allclose(st.amplitudes, [0.7, 0.7, 0.1, -0.1], atol=1e-14)
+
+
+def test_portfolio_circuit_is_its_stages_composed_bit_for_bit():
+    # one buffer for all stages: the register must equal, bit for bit, the
+    # stage-by-stage route through the public add/sub, which checks each
+    # group again and allocates a register per stage
+    rng = np.random.default_rng(95)
+    for m in range(1, 11):
+        for _ in range(3):
+            p = random_portfolio(rng, m)
+            want = init_amplitudes(p.group(0))
+            for r in range(1, m):
+                want = hadamard_addsub_inplace(want, p.group(r))
+            got = portfolio_circuit(p)
+            assert got.num_qubits == m
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def test_portfolio_circuit_keeps_its_stage_norm_check(monkeypatch):
+    import qaffine.simulator
+
+    monkeypatch.setattr(qaffine.simulator, "NORM_ATOL", -1.0)
+    with pytest.raises(NormalizationError):
+        portfolio_circuit(PortfolioSpec([0.8, 0.6, 0.6, 0.8], 2))
+
+
+def test_portfolio_spec_owns_its_assets():
+    a = np.array([0.8, 0.6, 0.6, 0.8])
+    p = PortfolioSpec(a, 2)
+    a[2] = 5.0
+    assert p.assets[2] == 0.6
+    assert not p.assets.flags.writeable
+    with pytest.raises(ValueError):
+        p.group(1)[0] = 5.0
+    raw = np.array([3.0, 1.0, 4.0, 2.0])
+    assert not PortfolioSpec.from_raw(raw).assets.flags.writeable
+    assert list(raw) == [3.0, 1.0, 4.0, 2.0]
 
 
 def test_portfolio_closed_form_matches_circuit():
@@ -144,6 +182,14 @@ def test_portfolio_validation():
         PortfolioSpec([np.inf, 0.0], 1)
     with pytest.raises(ShapeError):
         PortfolioSpec.from_raw([1.0, 2.0, 3.0])
+    # refused before any division, so no numpy warning (an error under the
+    # test configuration) comes first: non-finite values, a zero group, and
+    # a group whose norm overflows
+    for raw in ([np.inf, 1.0], [1e400, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1e308, 1e308, 1.0, 1.0]):
+        with pytest.raises(InvalidInputError):
+            PortfolioSpec.from_raw(raw)
+    with pytest.raises(NormalizationError):
+        PortfolioSpec([1e308, 1e308], 1)
 
 
 def test_portfolio_capacity():
@@ -367,6 +413,21 @@ def test_signal_validation():
         SignalSpec(x, np.full(4, 0.5), 0.0)
     with pytest.raises(ShapeError):
         SignalSpec(x, np.full((8, 8), 0.5), 0.0)
+
+
+def test_signal_spec_owns_its_arrays():
+    x = two_tone_samples(8, 1, 3)
+    g = np.full(8, 0.5, dtype=np.complex128)
+    v = np.ones(8, dtype=np.complex128) / np.sqrt(8)
+    spec = SignalSpec(x, g, 0.25, v)
+    held = [spec.samples.copy(), spec.scale_a.copy(), spec.bias_vector.copy()]
+    want = signal_filter(spec)
+    x[0], g[0], v[0] = 7.0, 0.9, 0.0
+    for arr, copy in zip((spec.samples, spec.scale_a, spec.bias_vector), held):
+        assert np.array_equal(arr, copy)
+        assert not arr.flags.writeable
+    for got, ref in zip(signal_filter(spec), want):
+        assert np.array_equal(got, ref)
 
 
 def _fft_filter(x, gain, b, v):

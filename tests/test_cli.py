@@ -86,6 +86,7 @@ def test_serialize_parse_round_trip(tmp_path):
     [
         lambda d: d.pop("version"),
         lambda d: d.update(version=2),
+        lambda d: d.update(version=True),
         lambda d: d.update(n="one"),
         lambda d: d.update(psi=[[1.0]]),
         lambda d: d.update(steps=[]),
@@ -318,6 +319,26 @@ def test_overflowing_entries_exit_3(tmp_path, capsys, n, scale):
         assert len(lines) == 1 and lines[0].startswith("invalid-input: "), lines
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # a JSON integer past the float range as an entry of A
+        lambda text: text.replace('"A": [[[', '"A": [[[1' + "0" * 400 + ", 0.0], [", 1),
+        # and one past int()'s digit limit, which json.load itself refuses
+        lambda text: text.replace('"A": [[[', '"A": [[[1' + "0" * 5000 + ", 0.0], [", 1),
+        # True == 1, but a bool is not a version
+        lambda text: text.replace('"version": 1', '"version": true', 1),
+    ],
+)
+def test_unreadable_numbers_and_versions_exit_2(tmp_path, capsys, edit):
+    path = Path(simple_problem(tmp_path))
+    path.write_text(edit(path.read_text()))
+    for argv in (["run"], ["baseline"]):
+        assert main([*argv, str(path), "--out-dir", str(tmp_path / argv[0])]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("schema: "), lines
+
+
 # --- gates compare ----------------------------------------------------------------
 
 
@@ -416,6 +437,17 @@ def test_demo_portfolio_bad_assets(tmp_path):
     code = main(["demo", "portfolio", "--assets", "1,1",
                  "--out-dir", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", [True, False])
+@pytest.mark.parametrize("assets", ["1e400,1", "inf,1", "0,0,0,0", "1,1,0,0", "1e308,1e308,1,1"])
+def test_demo_portfolio_refuses_assets_in_one_line(tmp_path, capsys, assets, raw):
+    # refused before any numpy warning reaches stderr (the test
+    # configuration turns a warning into an error)
+    argv = ["demo", "portfolio", "--assets", assets, "--out-dir", str(tmp_path / "o")]
+    assert main(argv + ["--raw"] * raw) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schema: --assets is not a valid portfolio: "), lines
 
 
 def test_demo_portfolio_seed_env(tmp_path, monkeypatch):
